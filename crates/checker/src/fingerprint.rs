@@ -124,6 +124,30 @@ impl PairHasher {
         self.b.compress(block);
     }
 
+    /// Appends the low `len` bytes (`1..=8`) of `value` (little-endian, higher bytes
+    /// zero) to the stream: the same result as `write(&value.to_le_bytes()[..len])`,
+    /// stitched into the pending block with shifts instead of a byte loop.
+    #[inline]
+    fn write_word(&mut self, value: u64, len: usize) {
+        self.written = self.written.wrapping_add(len as u64);
+        let fill = self.pending_len;
+        if fill == 0 && len == 8 {
+            self.compress(value);
+            return;
+        }
+        self.pending |= value << (8 * fill);
+        let total = fill + len;
+        if total < 8 {
+            self.pending_len = total;
+            return;
+        }
+        let block = self.pending;
+        self.compress(block);
+        // `fill > 0` here, so the carried-over tail shift is below 64.
+        self.pending = value >> (8 * (8 - fill));
+        self.pending_len = total - 8;
+    }
+
     /// Finalizes both hashers, producing the 128-bit fingerprint.
     pub fn finish128(&self) -> Fingerprint {
         // SipHash's final block: the pending tail bytes with the input length in the
@@ -168,26 +192,27 @@ impl Hasher for PairHasher {
         self.pending_len = chunks.remainder().len();
     }
 
+    // Integer writes skip the byte loop of `write`: the value is shifted into the
+    // pending block directly (and fed straight to the compressors when a `u64` lands
+    // block-aligned, the common case for integer-heavy states).
     #[inline]
     fn write_u64(&mut self, value: u64) {
-        // The common case for integer-heavy states: feed the block directly when
-        // aligned, without staging through the byte buffer.
-        if self.pending_len == 0 {
-            self.written = self.written.wrapping_add(8);
-            self.compress(value);
-        } else {
-            self.write(&value.to_le_bytes());
-        }
+        self.write_word(value, 8);
     }
 
     #[inline]
     fn write_u8(&mut self, value: u8) {
-        self.write(&[value]);
+        self.write_word(value as u64, 1);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, value: u16) {
+        self.write_word(value as u64, 2);
     }
 
     #[inline]
     fn write_u32(&mut self, value: u32) {
-        self.write(&value.to_le_bytes());
+        self.write_word(value as u64, 4);
     }
 
     #[inline]
@@ -279,6 +304,52 @@ mod tests {
         let mut slow = PairHasher::new();
         slow.write(&0xdead_beef_0bad_cafeu64.to_le_bytes());
         assert_eq!(fast.finish128(), slow.finish128());
+    }
+
+    #[test]
+    fn integer_fast_paths_match_the_byte_path() {
+        // Random mixed-width integer writes, so every pending-block offset meets every
+        // width: the integer methods must produce the fingerprint of the same bytes
+        // written through `write`.
+        let mut rng: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for _ in 0..200 {
+            let mut fast = PairHasher::new();
+            let mut slow = PairHasher::new();
+            let writes = next() % 40;
+            for _ in 0..writes {
+                let value = next();
+                match next() % 5 {
+                    0 => {
+                        fast.write_u8(value as u8);
+                        slow.write(&(value as u8).to_le_bytes());
+                    }
+                    1 => {
+                        fast.write_u16(value as u16);
+                        slow.write(&(value as u16).to_le_bytes());
+                    }
+                    2 => {
+                        fast.write_u32(value as u32);
+                        slow.write(&(value as u32).to_le_bytes());
+                    }
+                    3 => {
+                        fast.write_u64(value);
+                        slow.write(&value.to_le_bytes());
+                    }
+                    _ => {
+                        fast.write_usize(value as usize);
+                        slow.write(&(value as usize).to_le_bytes());
+                    }
+                }
+                assert_eq!(fast.pending_len, slow.pending_len);
+            }
+            assert_eq!(fast.finish128(), slow.finish128());
+        }
     }
 
     #[test]

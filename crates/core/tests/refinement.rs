@@ -368,7 +368,7 @@ fn established_with_loaded_queue(config: &ClusterConfig) -> remix_zab::ZabState 
     s.servers[leader].state = ServerState::Leading;
     s.servers[leader].established = true;
     s.servers[leader].epoch_proposed = true;
-    s.servers[leader].history = vec![txn];
+    s.servers[leader].history = vec![txn].into();
     s.servers[leader].last_committed = 1;
     for f in [0usize, 1] {
         s.servers[f].state = ServerState::Following;
@@ -379,7 +379,7 @@ fn established_with_loaded_queue(config: &ClusterConfig) -> remix_zab::ZabState 
         s.servers[leader].sync_sent.insert(f);
         s.servers[leader].learner_last_zxid.insert(f, Zxid::ZERO);
     }
-    s.servers[1].history = vec![txn];
+    s.servers[1].history = vec![txn].into();
     s.servers[1].last_committed = 1;
     // Follower 0 acked before persisting: the transaction is still queued.
     s.servers[0].queued_requests = vec![txn];

@@ -32,6 +32,11 @@ pub enum SpecError {
         /// The requested invariant identifier.
         id: String,
     },
+    /// The model configuration is outside what the specification supports.
+    InvalidConfig {
+        /// Human-readable description of the rejected setting.
+        detail: String,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -59,6 +64,7 @@ impl fmt::Display for SpecError {
                 write!(f, "interaction preservation violated: {detail}")
             }
             SpecError::UnknownInvariant { id } => write!(f, "unknown invariant `{id}`"),
+            SpecError::InvalidConfig { detail } => write!(f, "invalid configuration: {detail}"),
         }
     }
 }

@@ -7,6 +7,7 @@
 use remix_spec::effect::flags;
 use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, ModuleSpec};
 
+use crate::containers::SidSet;
 use crate::modules::BROADCAST;
 use crate::state::ZabState;
 use crate::types::{CodeViolation, Message, ServerState, Sid, Txn, ViolationKind, ZabPhase, Zxid};
@@ -47,11 +48,9 @@ pub(crate) fn leader_process_request_step(cfg: &Cfg, state: &mut ZabState, i: Si
     let txn = Txn::new(epoch, counter, state.txns_created);
     state.servers[i].history.push(txn);
     state.ghost.broadcast.push(txn);
-    let mut ackers = std::collections::BTreeSet::new();
-    ackers.insert(i);
+    let ackers = SidSet::from_iter([i]);
     state.servers[i].pending_acks.insert(txn.zxid, ackers);
-    let followers: Vec<Sid> = state.servers[i].newleader_acks.iter().copied().collect();
-    for f in followers {
+    for f in state.servers[i].newleader_acks {
         state.send(i, f, Message::Proposal { txn });
     }
     true
@@ -86,7 +85,7 @@ pub(crate) fn leader_process_ack_step(state: &mut ZabState, i: Sid, j: Sid) -> b
             .expect("checked")
             .insert(j);
         commit_ready_proposals(state, i);
-    } else if !state.servers[i].newleader_acks.contains(&j) {
+    } else if !state.servers[i].newleader_acks.contains(j) {
         // A late acknowledgement of NEWLEADER (or UPTODATE): bring the follower up to
         // date with the proposals it missed while synchronizing, then include it in the
         // broadcast set.
@@ -134,13 +133,12 @@ pub(crate) fn commit_ready_proposals(state: &mut ZabState, i: Sid) {
         let Some(ackers) = state.servers[i].pending_acks.get(&zxid) else {
             break;
         };
-        if !state.is_quorum(ackers) {
+        if !state.is_quorum(*ackers) {
             break;
         }
         state.servers[i].last_committed = next_index + 1;
         state.servers[i].pending_acks.remove(&zxid);
-        let followers: Vec<Sid> = state.servers[i].newleader_acks.iter().copied().collect();
-        for f in followers {
+        for f in state.servers[i].newleader_acks {
             state.send(i, f, Message::Commit { zxid });
         }
     }
@@ -497,7 +495,7 @@ mod tests {
         let m = module(&cfg);
         let mut s = broadcast_ready();
         // Follower 1 is not yet in the broadcast set and still in Synchronization.
-        s.servers[2].newleader_acks.remove(&1);
+        s.servers[2].newleader_acks.remove(1);
         s.servers[1].phase = ZabPhase::Synchronization;
         // The leader commits one transaction with follower 0 only.
         let s = run(&m, s, 40);
@@ -507,7 +505,7 @@ mod tests {
         s.msgs[1][2].push(Message::Ack { zxid: Zxid::ZERO });
         let mut next = s.clone();
         assert!(leader_process_ack_step(&mut next, 2, 1));
-        assert!(next.servers[2].newleader_acks.contains(&1));
+        assert!(next.servers[2].newleader_acks.contains(1));
         // The missed proposals and commits were queued to follower 1, ending with UPTODATE.
         let kinds: Vec<&str> = next.msgs[2][1].iter().map(|m| m.kind()).collect();
         assert!(kinds.contains(&"PROPOSAL"));

@@ -104,16 +104,14 @@ fn leader_process_follower_info(cfg: &Cfg) -> ActionDef<ZabState> {
                     let epoch = next.servers[i].accepted_epoch;
                     next.send(i, j, Message::LeaderInfo { epoch });
                 } else {
-                    let mut connected = next.servers[i].learners.clone();
+                    let mut connected = next.servers[i].learners;
                     connected.insert(i);
-                    if next.is_quorum(&connected) {
+                    if next.is_quorum(connected) {
                         let epoch = next.max_accepted_epoch() + 1;
                         if epoch <= cfg.max_epoch {
                             next.servers[i].accepted_epoch = epoch;
                             next.servers[i].epoch_proposed = true;
-                            let learners: Vec<_> =
-                                next.servers[i].learners.iter().copied().collect();
-                            for l in learners {
+                            for l in next.servers[i].learners {
                                 next.send(i, l, Message::LeaderInfo { epoch });
                             }
                         }
@@ -204,9 +202,9 @@ fn leader_process_ack_epoch(_cfg: &Cfg) -> ActionDef<ZabState> {
                 next.servers[i].epoch_acks.insert(j);
                 next.servers[i].learner_last_zxid.insert(j, last_zxid);
                 if next.servers[i].phase == ZabPhase::Discovery {
-                    let mut acked = next.servers[i].epoch_acks.clone();
+                    let mut acked = next.servers[i].epoch_acks;
                     acked.insert(i);
-                    if next.is_quorum(&acked) {
+                    if next.is_quorum(acked) {
                         next.servers[i].current_epoch = next.servers[i].accepted_epoch;
                         next.servers[i].phase = ZabPhase::Synchronization;
                     }
@@ -295,7 +293,7 @@ mod tests {
         s.servers[0].history.push(crate::types::Txn::new(1, 1, 5));
         let s = run_to_quiescence(s);
         assert_eq!(
-            s.servers[2].learner_last_zxid.get(&0),
+            s.servers[2].learner_last_zxid.get(0),
             Some(&Zxid::new(1, 1))
         );
     }

@@ -8,6 +8,7 @@
 
 use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, ModuleSpec};
 
+use crate::containers::SidSet;
 use crate::modules::ELECTION;
 use crate::state::ZabState;
 use crate::types::{Message, ServerState, Sid, Vote, ZabPhase};
@@ -135,14 +136,14 @@ fn fle_decide(_cfg: &Cfg) -> ActionDef<ZabState> {
                 if sv.state != ServerState::Looking || !sv.vote_broadcast {
                     continue;
                 }
-                let mut agreeing: std::collections::BTreeSet<Sid> = sv
+                let mut agreeing: SidSet = sv
                     .recv_votes
                     .iter()
                     .filter(|(_, v)| **v == sv.vote)
-                    .map(|(j, _)| *j)
+                    .map(|(j, _)| j)
                     .collect();
                 agreeing.insert(i);
-                if !s.is_quorum(&agreeing) {
+                if !s.is_quorum(agreeing) {
                     continue;
                 }
                 let leader = sv.vote.leader;

@@ -8,6 +8,7 @@
 use remix_spec::effect::flags;
 use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, ModuleSpec};
 
+use crate::containers::SidSet;
 use crate::modules::FAULTS;
 use crate::state::ZabState;
 use crate::types::ServerState;
@@ -156,9 +157,8 @@ fn leader_shutdown(cfg: &Cfg) -> ActionDef<ZabState> {
                 if !sv.is_up() || sv.state != ServerState::Leading {
                     continue;
                 }
-                let reachable: std::collections::BTreeSet<_> =
-                    (0..s.n()).filter(|&j| s.reachable(i, j)).collect();
-                if s.is_quorum(&reachable) {
+                let reachable: SidSet = (0..s.n()).filter(|&j| s.reachable(i, j)).collect();
+                if s.is_quorum(reachable) {
                     continue;
                 }
                 let mut next = s.clone();
@@ -195,7 +195,7 @@ fn network_partition(_cfg: &Cfg) -> ActionDef<ZabState> {
             }
             for i in 0..s.n() {
                 for j in (i + 1)..s.n() {
-                    if s.partitioned.contains(&(i, j))
+                    if s.partitioned.contains((i, j))
                         || !s.servers[i].is_up()
                         || !s.servers[j].is_up()
                     {
@@ -233,9 +233,9 @@ fn partition_recover(_cfg: &Cfg) -> ActionDef<ZabState> {
         vec!["partitions"],
         |s: &ZabState| {
             let mut out = Vec::new();
-            for &(i, j) in &s.partitioned {
+            for (i, j) in s.partitioned.iter() {
                 let mut next = s.clone();
-                next.partitioned.remove(&(i, j));
+                next.partitioned.remove((i, j));
                 out.push(
                     ActionInstance::new(format!("PartitionRecover({i}, {j})"), next)
                         .with_effect(Effect::new().writes_channel(i, j).writes_channel(j, i)),

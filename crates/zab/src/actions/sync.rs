@@ -43,8 +43,8 @@ pub(crate) fn leader_sync_follower_enabled(state: &ZabState, i: Sid, j: Sid) -> 
     leader.is_up()
         && leader.state == ServerState::Leading
         && leader.phase == ZabPhase::Synchronization
-        && leader.epoch_acks.contains(&j)
-        && !leader.sync_sent.contains(&j)
+        && leader.epoch_acks.contains(j)
+        && !leader.sync_sent.contains(j)
         && state.reachable(i, j)
 }
 
@@ -56,7 +56,7 @@ pub(crate) fn leader_sync_follower_step(state: &mut ZabState, i: Sid, j: Sid) ->
     }
     let follower_zxid = *state.servers[i]
         .learner_last_zxid
-        .get(&j)
+        .get(j)
         .unwrap_or(&Zxid::ZERO);
     let leader_history = state.servers[i].history.clone();
     let leader_last = state.servers[i].last_zxid();
@@ -97,7 +97,7 @@ pub(crate) fn leader_sync_follower_step(state: &mut ZabState, i: Sid, j: Sid) ->
     } else {
         Message::SyncPackets {
             mode: SyncMode::Snap,
-            txns: leader_history.clone(),
+            txns: leader_history.to_vec(),
             committed_upto,
             trunc_to: Zxid::ZERO,
         }
@@ -132,11 +132,10 @@ pub(crate) fn establish_leader(state: &mut ZabState, i: Sid) {
     state.servers[i].established = true;
     state.servers[i].phase = ZabPhase::Broadcast;
     state.servers[i].serving = true;
-    state.record_establishment(epoch, i, history);
+    state.record_establishment(epoch, i, history.to_vec());
 
     let last_zxid = state.servers[i].last_zxid();
-    let followers: Vec<Sid> = state.servers[i].newleader_acks.iter().copied().collect();
-    for f in followers {
+    for f in state.servers[i].newleader_acks {
         // ZooKeeper sends the commits of the leader's initial history before UPTODATE;
         // this ordering is what exposes ZK-4394 on followers still in synchronization.
         for z in &newly_committed {
@@ -168,9 +167,9 @@ pub(crate) fn leader_process_ackld_step(cfg: &Cfg, state: &mut ZabState, i: Sid,
     let newleader_zxid = state.servers[i].last_zxid();
     if zxid == newleader_zxid {
         state.servers[i].newleader_acks.insert(j);
-        let mut acked = state.servers[i].newleader_acks.clone();
+        let mut acked = state.servers[i].newleader_acks;
         acked.insert(i);
-        if state.is_quorum(&acked) && !state.servers[i].established {
+        if state.is_quorum(acked) && !state.servers[i].established {
             establish_leader(state, i);
         }
     } else if cfg.bugs().leader_rejects_early_proposal_ack {
@@ -309,7 +308,7 @@ pub(crate) fn follower_process_sync_packets_step(state: &mut ZabState, i: Sid, j
             sv.last_committed = sv.last_committed.min(sv.history.len());
         }
         SyncMode::Snap => {
-            sv.history = txns;
+            sv.history = txns.into();
             sv.last_committed = sv
                 .history
                 .iter()
@@ -753,7 +752,7 @@ mod tests {
         let m = module(&cfg);
         let mut s = post_discovery(CodeVersion::V391, 1, 1);
         // Follower 0 has an extra uncommitted transaction beyond the leader's history.
-        s.servers[0].history = vec![Txn::new(1, 1, 1), Txn::new(1, 2, 99)];
+        s.servers[0].history = vec![Txn::new(1, 1, 1), Txn::new(1, 2, 99)].into();
         s.servers[2].learner_last_zxid.insert(0, Zxid::new(1, 2));
         let s = run(&m, s, 60);
         assert_eq!(s.servers[0].history.len(), 1);
@@ -769,8 +768,8 @@ mod tests {
         let mut s = post_discovery(CodeVersion::V391, 2, 2);
         // The leader's log starts at counter 2; follower 1's last zxid <<1, 1>> is behind
         // the leader but not a point in the leader's log, which forces a SNAP sync.
-        s.servers[2].history = vec![Txn::new(1, 2, 2), Txn::new(1, 3, 3)];
-        s.servers[1].history = vec![Txn::new(1, 1, 42)];
+        s.servers[2].history = vec![Txn::new(1, 2, 2), Txn::new(1, 3, 3)].into();
+        s.servers[1].history = vec![Txn::new(1, 1, 42)].into();
         s.servers[2].learner_last_zxid.insert(1, Zxid::new(1, 1));
         let s = run(&m, s, 120);
         assert_eq!(s.servers[1].history, s.servers[2].history);

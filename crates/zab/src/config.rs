@@ -1,5 +1,8 @@
 //! Model-checking configuration: cluster size, fault budgets and transaction bounds.
 
+use remix_spec::effect::MAX_EFFECT_SERVERS;
+use remix_spec::SpecError;
+
 use crate::versions::{BugFlags, CodeVersion};
 
 /// Configuration of a model-checking run (the "standard configuration" of §4.4, scaled).
@@ -111,6 +114,22 @@ impl ClusterConfig {
     pub fn quorum_size(&self) -> usize {
         self.num_servers / 2 + 1
     }
+
+    /// Checks that the specification supports this configuration: the state keeps
+    /// server ids in fixed-size masks (see [`crate::containers`]), so an ensemble has at
+    /// most [`MAX_EFFECT_SERVERS`] servers.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        if self.num_servers > MAX_EFFECT_SERVERS {
+            return Err(SpecError::InvalidConfig {
+                detail: format!(
+                    "num_servers = {} exceeds the cap of {MAX_EFFECT_SERVERS} servers \
+                     (MAX_EFFECT_SERVERS)",
+                    self.num_servers
+                ),
+            });
+        }
+        Ok(())
+    }
 }
 
 impl Default for ClusterConfig {
@@ -131,6 +150,24 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(five.quorum_size(), 3);
+    }
+
+    #[test]
+    fn server_count_is_capped() {
+        let at_cap = ClusterConfig {
+            num_servers: MAX_EFFECT_SERVERS,
+            ..Default::default()
+        };
+        assert!(at_cap.validate().is_ok());
+        let over = ClusterConfig {
+            num_servers: MAX_EFFECT_SERVERS + 1,
+            ..Default::default()
+        };
+        let err = over.validate().unwrap_err().to_string();
+        assert!(
+            err.contains("num_servers = 9") && err.contains("cap of 8 servers"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -158,9 +158,8 @@ impl StateFields for ZabState {
         }
         for a in 0..n {
             for b in (a + 1)..n {
-                let key = (a, b);
                 out.push(hash_one(&(
-                    self.partitioned.contains(&key),
+                    self.partitioned.contains((a, b)),
                     self.reachable(a, b),
                 )));
             }

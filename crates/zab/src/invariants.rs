@@ -313,9 +313,9 @@ mod tests {
     #[test]
     fn i3_and_i4_detect_diverging_deliveries() {
         let mut s = base();
-        s.servers[0].history = vec![txn(1, 1), txn(1, 2)];
+        s.servers[0].history = vec![txn(1, 1), txn(1, 2)].into();
         s.servers[0].last_committed = 2;
-        s.servers[1].history = vec![txn(1, 1), txn(1, 3)];
+        s.servers[1].history = vec![txn(1, 1), txn(1, 3)].into();
         s.servers[1].last_committed = 2;
         assert!(!i3(&s));
         assert!(!i4(&s));
@@ -328,14 +328,14 @@ mod tests {
     #[test]
     fn i5_and_i6_require_ordered_delivery() {
         let mut s = base();
-        s.servers[0].history = vec![txn(1, 2), txn(1, 1)];
+        s.servers[0].history = vec![txn(1, 2), txn(1, 1)].into();
         s.servers[0].last_committed = 2;
         assert!(!i5(&s));
         assert!(!i6(&s));
-        s.servers[0].history = vec![txn(1, 1), txn(2, 1)];
+        s.servers[0].history = vec![txn(1, 1), txn(2, 1)].into();
         assert!(i5(&s));
         assert!(i6(&s));
-        s.servers[0].history = vec![txn(2, 1), txn(1, 1)];
+        s.servers[0].history = vec![txn(2, 1), txn(1, 1)].into();
         assert!(!i6(&s));
     }
 
@@ -361,11 +361,11 @@ mod tests {
             .initial_history
             .insert(1, vec![txn(1, 1), txn(1, 2)]);
         // Delivering beyond the initial history without containing it is a violation.
-        s.servers[0].history = vec![txn(1, 1), txn(1, 3)];
+        s.servers[0].history = vec![txn(1, 1), txn(1, 3)].into();
         s.servers[0].last_committed = 2;
         assert!(!i9(&s));
         // Delivering a prefix of the initial history is fine.
-        s.servers[0].history = vec![txn(1, 1)];
+        s.servers[0].history = vec![txn(1, 1)].into();
         s.servers[0].last_committed = 1;
         assert!(i9(&s));
     }
@@ -377,8 +377,8 @@ mod tests {
             s.servers[i].phase = ZabPhase::Broadcast;
             s.servers[i].current_epoch = 1;
         }
-        s.servers[0].history = vec![txn(1, 1), txn(1, 2)];
-        s.servers[1].history = vec![txn(1, 1), txn(1, 3)];
+        s.servers[0].history = vec![txn(1, 1), txn(1, 2)].into();
+        s.servers[1].history = vec![txn(1, 1), txn(1, 3)].into();
         assert!(!i10(&s));
         // Servers in different epochs or phases are not compared.
         s.servers[1].current_epoch = 2;
@@ -394,10 +394,10 @@ mod tests {
         s.servers[0].state = ServerState::Leading;
         s.ghost.broadcast.push(txn(2, 1));
         // Another server delivered an epoch-1 transaction the primary does not have.
-        s.servers[1].history = vec![txn(1, 1)];
+        s.servers[1].history = vec![txn(1, 1)].into();
         s.servers[1].last_committed = 1;
         assert!(!i7(&s));
-        s.servers[0].history = vec![txn(1, 1)];
+        s.servers[0].history = vec![txn(1, 1)].into();
         s.servers[0].last_committed = 1;
         assert!(i7(&s));
     }
@@ -421,7 +421,7 @@ mod tests {
     #[test]
     fn i2_requires_delivered_txns_to_have_been_broadcast() {
         let mut s = base();
-        s.servers[0].history = vec![txn(1, 1)];
+        s.servers[0].history = vec![txn(1, 1)].into();
         s.servers[0].last_committed = 1;
         assert!(!i2(&s));
         s.ghost.broadcast.push(txn(1, 1));

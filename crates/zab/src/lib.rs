@@ -3,7 +3,8 @@
 //! This crate is the Rust counterpart of the paper's TLA+ specification library:
 //!
 //! * [`state`] — the global state of the system specification (per-server variables,
-//!   network channels, fault budgets, ghost variables);
+//!   network channels, fault budgets, ghost variables), laid out in the fixed-size
+//!   containers of [`containers`];
 //! * [`actions`] — the action library, organised per Zab phase and per granularity
 //!   (baseline system specification, fine-grained atomicity, fine-grained concurrency,
 //!   coarse interaction-preserving abstraction, faults);
@@ -26,6 +27,7 @@
 
 pub mod actions;
 pub mod config;
+pub mod containers;
 pub mod fields;
 pub mod invariants;
 pub mod modules;
@@ -38,6 +40,7 @@ pub mod types;
 pub mod versions;
 
 pub use config::ClusterConfig;
+pub use containers::{Channels, PairSet, Shared, SidMap, SidSet};
 pub use fields::underdeclare_node_restart;
 pub use presets::{build_from_plan, SpecPreset};
 pub use projection::{

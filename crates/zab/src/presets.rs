@@ -122,6 +122,7 @@ pub fn build_from_plan(
     plan: &CompositionPlan,
     config: &ClusterConfig,
 ) -> Result<Spec<ZabState>, SpecError> {
+    config.validate()?;
     let cfg = Arc::new(*config);
     let mut modules = Vec::new();
     for choice in &plan.choices {
@@ -236,6 +237,17 @@ mod tests {
         assert!(!sys_ids.contains(&"I-12"));
         // Fine-grained concurrency compositions carry all fourteen.
         assert_eq!(m3_ids.len(), 14);
+    }
+
+    #[test]
+    fn oversized_ensembles_are_rejected_before_composition() {
+        let nine = ClusterConfig {
+            num_servers: 9,
+            ..config()
+        };
+        let err = build_from_plan(&SpecPreset::MSpec3.plan(), &nine).unwrap_err();
+        assert!(matches!(err, SpecError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("cap of 8 servers"), "{err}");
     }
 
     #[test]

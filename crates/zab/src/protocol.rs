@@ -126,8 +126,8 @@ fn leader_send_newleader(_cfg: &Arc<ClusterConfig>) -> ActionDef<ZabState> {
                 {
                     continue;
                 }
-                for j in s.servers[i].epoch_acks.clone() {
-                    if s.servers[i].sync_sent.contains(&j) || !s.reachable(i, j) {
+                for j in s.servers[i].epoch_acks {
+                    if s.servers[i].sync_sent.contains(j) || !s.reachable(i, j) {
                         continue;
                     }
                     let mut next = s.clone();
@@ -145,7 +145,7 @@ fn leader_send_newleader(_cfg: &Arc<ClusterConfig>) -> ActionDef<ZabState> {
                         j,
                         Message::SyncPackets {
                             mode: crate::types::SyncMode::Snap,
-                            txns: history,
+                            txns: history.to_vec(),
                             committed_upto,
                             trunc_to: Zxid::ZERO,
                         },
@@ -191,7 +191,7 @@ fn follower_newleader_actions(
         }) = s.pop(j, i)
         {
             let sv = &mut s.servers[i];
-            sv.history = txns;
+            sv.history = txns.into();
             sv.last_committed = sv
                 .history
                 .iter()
@@ -346,18 +346,18 @@ fn establishment_actions(_cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> 
                         let mut next = s.clone();
                         next.pop(j, i);
                         next.servers[i].newleader_acks.insert(j);
-                        let mut acked = next.servers[i].newleader_acks.clone();
+                        let mut acked = next.servers[i].newleader_acks;
                         acked.insert(i);
-                        if next.is_quorum(&acked) && !next.servers[i].established {
+                        if next.is_quorum(acked) && !next.servers[i].established {
                             let epoch = next.servers[i].accepted_epoch;
                             let history = next.servers[i].history.clone();
                             next.servers[i].established = true;
                             next.servers[i].last_committed = next.servers[i].history.len();
                             next.servers[i].phase = ZabPhase::Broadcast;
                             next.servers[i].serving = true;
-                            next.record_establishment(epoch, i, history);
+                            next.record_establishment(epoch, i, history.to_vec());
                             let last = next.servers[i].last_zxid();
-                            for f in next.servers[i].newleader_acks.clone() {
+                            for f in next.servers[i].newleader_acks {
                                 next.send(i, f, Message::UpToDate { zxid: last });
                             }
                         }

@@ -7,11 +7,12 @@
 //! histories, the global broadcast order) used only by the protocol-level invariants of
 //! Table 2.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use remix_spec::{SpecState, Value};
 
 use crate::config::ClusterConfig;
+use crate::containers::{Channels, PairSet, Shared, SidMap, SidSet};
 use crate::types::{CodeViolation, Message, ServerState, Sid, Txn, Vote, ZabPhase, Zxid};
 
 /// Per-server state.
@@ -22,8 +23,8 @@ pub struct ServerData {
     pub current_epoch: u32,
     /// `acceptedEpoch`: the epoch proposed by the last LEADERINFO the server accepted.
     pub accepted_epoch: u32,
-    /// `history`: the durable transaction log.
-    pub history: Vec<Txn>,
+    /// `history`: the durable transaction log, shared copy-on-write between states.
+    pub history: Shared<Vec<Txn>>,
     /// `lastCommitted`: number of committed (delivered) transactions — a prefix of
     /// `history`.
     pub last_committed: usize,
@@ -42,25 +43,25 @@ pub struct ServerData {
     /// Whether the current vote has been broadcast to peers.
     pub vote_broadcast: bool,
     /// Votes received from peers in the current election round.
-    pub recv_votes: BTreeMap<Sid, Vote>,
+    pub recv_votes: SidMap<Vote>,
 
     // Leader-side bookkeeping.
     /// `learners`: followers connected to this leader (FOLLOWERINFO received).
-    pub learners: BTreeSet<Sid>,
+    pub learners: SidSet,
     /// Last zxid reported by each learner (from ACKEPOCH), used to pick the sync mode.
-    pub learner_last_zxid: BTreeMap<Sid, Zxid>,
+    pub learner_last_zxid: SidMap<Zxid>,
     /// Whether the leader has proposed its new epoch (sent LEADERINFO).
     pub epoch_proposed: bool,
     /// Followers that acknowledged the proposed epoch (ACKEPOCH received).
-    pub epoch_acks: BTreeSet<Sid>,
+    pub epoch_acks: SidSet,
     /// Followers to which the synchronization payload and NEWLEADER have been sent.
-    pub sync_sent: BTreeSet<Sid>,
+    pub sync_sent: SidSet,
     /// Followers that acknowledged NEWLEADER.
-    pub newleader_acks: BTreeSet<Sid>,
+    pub newleader_acks: SidSet,
     /// Whether this leader has established its epoch (quorum of NEWLEADER acks).
     pub established: bool,
     /// Outstanding broadcast proposals and the servers that acknowledged them.
-    pub pending_acks: BTreeMap<Zxid, BTreeSet<Sid>>,
+    pub pending_acks: BTreeMap<Zxid, SidSet>,
 
     // Follower-side synchronization bookkeeping.
     /// Whether the follower has sent FOLLOWERINFO to its leader.
@@ -85,7 +86,7 @@ impl ServerData {
         ServerData {
             current_epoch: 0,
             accepted_epoch: 0,
-            history: Vec::new(),
+            history: Shared::default(),
             last_committed: 0,
             state: ServerState::Looking,
             phase: ZabPhase::Election,
@@ -96,13 +97,13 @@ impl ServerData {
                 leader: sid,
             },
             vote_broadcast: false,
-            recv_votes: BTreeMap::new(),
-            learners: BTreeSet::new(),
-            learner_last_zxid: BTreeMap::new(),
+            recv_votes: SidMap::new(),
+            learners: SidSet::new(),
+            learner_last_zxid: SidMap::new(),
             epoch_proposed: false,
-            epoch_acks: BTreeSet::new(),
-            sync_sent: BTreeSet::new(),
-            newleader_acks: BTreeSet::new(),
+            epoch_acks: SidSet::new(),
+            sync_sent: SidSet::new(),
+            newleader_acks: SidSet::new(),
             established: false,
             pending_acks: BTreeMap::new(),
             connected: false,
@@ -205,33 +206,43 @@ pub struct ZabState {
     /// Per-server state, indexed by sid.
     pub servers: Vec<ServerData>,
     /// FIFO channels: `msgs[from][to]` is the queue of in-flight messages.
-    pub msgs: Vec<Vec<Vec<Message>>>,
-    /// Pairs of servers currently partitioned from each other (normalized `(min, max)`).
-    pub partitioned: BTreeSet<(Sid, Sid)>,
+    pub msgs: Channels,
+    /// Pairs of servers currently partitioned from each other.
+    pub partitioned: PairSet,
     /// Remaining crash budget.
     pub crashes_remaining: u32,
     /// Remaining partition budget.
     pub partitions_remaining: u32,
     /// Number of client transactions created so far (bounded by the configuration).
     pub txns_created: u32,
-    /// Ghost variables for the protocol-level invariants.
-    pub ghost: GhostState,
+    /// Ghost variables for the protocol-level invariants, shared copy-on-write between
+    /// states.
+    pub ghost: Shared<GhostState>,
     /// The first code-level error path reached by this execution, if any.
     pub violation: Option<CodeViolation>,
 }
 
 impl ZabState {
     /// The initial state for a configuration: every server freshly booted and looking.
+    ///
+    /// # Panics
+    ///
+    /// If the configuration is invalid (see [`ClusterConfig::validate`]), in particular
+    /// if it has more than [`MAX_EFFECT_SERVERS`](remix_spec::effect::MAX_EFFECT_SERVERS)
+    /// servers.
     pub fn initial(config: &ClusterConfig) -> Self {
+        if let Err(err) = config.validate() {
+            panic!("{err}");
+        }
         let n = config.num_servers;
         ZabState {
             servers: (0..n).map(ServerData::initial).collect(),
-            msgs: vec![vec![Vec::new(); n]; n],
-            partitioned: BTreeSet::new(),
+            msgs: Channels::new(n),
+            partitioned: PairSet::new(),
             crashes_remaining: config.max_crashes,
             partitions_remaining: config.max_partitions,
             txns_created: 0,
-            ghost: GhostState::default(),
+            ghost: Shared::default(),
             violation: None,
         }
     }
@@ -247,7 +258,7 @@ impl ZabState {
     }
 
     /// Returns `true` if the given set of servers is a quorum.
-    pub fn is_quorum(&self, set: &BTreeSet<Sid>) -> bool {
+    pub fn is_quorum(&self, set: SidSet) -> bool {
         set.len() >= self.quorum_size()
     }
 
@@ -257,8 +268,7 @@ impl ZabState {
         if a == b {
             return true;
         }
-        let key = (a.min(b), a.max(b));
-        self.servers[a].is_up() && self.servers[b].is_up() && !self.partitioned.contains(&key)
+        self.servers[a].is_up() && self.servers[b].is_up() && !self.partitioned.contains((a, b))
     }
 
     /// Sends a message from `from` to `to`.  Messages to unreachable peers are dropped
@@ -313,14 +323,15 @@ impl ZabState {
             }
             Some(_) => {}
             None => {
-                self.ghost.established_leaders.insert(epoch, leader);
-                self.ghost.initial_history.insert(epoch, initial_history);
+                let ghost = &mut *self.ghost;
+                ghost.established_leaders.insert(epoch, leader);
+                ghost.initial_history.insert(epoch, initial_history);
             }
         }
     }
 
     /// The set of up servers.
-    pub fn up_servers(&self) -> BTreeSet<Sid> {
+    pub fn up_servers(&self) -> SidSet {
         (0..self.n()).filter(|&i| self.servers[i].is_up()).collect()
     }
 
@@ -409,7 +420,7 @@ impl SpecState for ZabState {
                 })),
                 "receiveVotes" => Some(per_server(&|s| Value::from(s.recv_votes.len()))),
                 "learners" => Some(per_server(&|s| {
-                    Value::set(s.learners.iter().map(|l| Value::from(*l)).collect())
+                    Value::set(s.learners.iter().map(Value::from).collect())
                 })),
                 "packetsSync" => Some(per_server(&|s| {
                     Value::record(vec![
@@ -429,9 +440,7 @@ impl SpecState for ZabState {
                 "ackldRecv" => Some(per_server(&|s| Value::from(s.newleader_acks.len()))),
                 "proposalAcks" => Some(per_server(&|s| Value::from(s.pending_acks.len()))),
                 "serving" => Some(per_server(&|s| Value::Bool(s.serving))),
-                "msgs" | "electionMsgs" => Some(Value::from(
-                    self.msgs.iter().flatten().map(|q| q.len()).sum::<usize>(),
-                )),
+                "msgs" | "electionMsgs" => Some(Value::from(self.msgs.total_len())),
                 "partitions" => Some(Value::from(self.partitioned.len())),
                 "crashBudget" => Some(Value::from(self.crashes_remaining)),
                 "txnBudget" => Some(Value::from(self.txns_created)),
@@ -469,6 +478,15 @@ mod tests {
         assert!(s.violation.is_none());
         assert!(s.servers.iter().all(|sv| sv.state == ServerState::Looking));
         assert!(s.servers.iter().all(|sv| sv.history.is_empty()));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the cap of 8 servers")]
+    fn initial_rejects_ensembles_beyond_the_server_cap() {
+        ZabState::initial(&ClusterConfig {
+            num_servers: 9,
+            ..ClusterConfig::small(CodeVersion::V391)
+        });
     }
 
     #[test]
@@ -570,7 +588,7 @@ mod tests {
     #[test]
     fn delivered_is_committed_prefix() {
         let mut sd = ServerData::initial(0);
-        sd.history = vec![Txn::new(1, 1, 1), Txn::new(1, 2, 2)];
+        sd.history = vec![Txn::new(1, 1, 1), Txn::new(1, 2, 2)].into();
         sd.last_committed = 1;
         assert_eq!(sd.delivered(), &[Txn::new(1, 1, 1)]);
         assert_eq!(sd.last_zxid(), Zxid::new(1, 2));

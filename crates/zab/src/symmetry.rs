@@ -55,8 +55,9 @@
 use remix_spec::effect::MAX_EFFECT_SERVERS;
 use remix_spec::{canon_stats, Canonicalize, IncrementalCanonicalize, Perm};
 
+use crate::containers::Shared;
 use crate::state::{GhostState, ServerData, ZabState};
-use crate::types::{Message, Sid, Vote, Zxid};
+use crate::types::{Message, Sid, Txn, Vote, Zxid};
 
 /// Upper bound on the number of tie-break candidates `ZabState::canonicalize`
 /// enumerates directly, and on the orderings the individualization-refinement stage may
@@ -83,7 +84,7 @@ struct ServerKey {
     accepted_epoch: u32,
     state: crate::types::ServerState,
     phase: crate::types::ZabPhase,
-    history: Vec<crate::types::Txn>,
+    history: Shared<Vec<Txn>>,
     last_committed: usize,
     leader: LeaderRel,
     vote_epoch: u32,
@@ -108,9 +109,9 @@ struct ServerKey {
     /// server acked its own proposal).
     pending_acks: Vec<(Zxid, usize, bool)>,
     connected: bool,
-    packets_not_committed: Vec<crate::types::Txn>,
+    packets_not_committed: Vec<Txn>,
     packets_committed: Vec<Zxid>,
-    queued_requests: Vec<crate::types::Txn>,
+    queued_requests: Vec<Txn>,
     pending_commits: Vec<Zxid>,
     serving: bool,
     /// Message degrees: total queued messages inbound and outbound (per-channel
@@ -138,11 +139,11 @@ fn server_key(state: &ZabState, i: Sid) -> ServerKey {
     let pending_acks: Vec<(Zxid, usize, bool)> = s
         .pending_acks
         .iter()
-        .map(|(z, acks)| (*z, acks.len(), acks.contains(&i)))
+        .map(|(z, acks)| (*z, acks.len(), acks.contains(i)))
         .collect();
     let mut out_channel_lens: Vec<usize> = state.msgs[i].iter().map(Vec::len).collect();
     out_channel_lens.sort_unstable();
-    let mut in_channel_lens: Vec<usize> = state.msgs.iter().map(|row| row[i].len()).collect();
+    let mut in_channel_lens: Vec<usize> = state.msgs.rows().map(|row| row[i].len()).collect();
     in_channel_lens.sort_unstable();
     ServerKey {
         current_epoch: s.current_epoch,
@@ -161,7 +162,7 @@ fn server_key(state: &ZabState, i: Sid) -> ServerKey {
         vote_for_self: s.vote.leader == i,
         vote_broadcast: s.vote_broadcast,
         recv_votes,
-        recv_vote_from_self: s.recv_votes.contains_key(&i),
+        recv_vote_from_self: s.recv_votes.contains_key(i),
         learners: s.learners.len(),
         learner_last_zxids,
         epoch_proposed: s.epoch_proposed,
@@ -219,6 +220,7 @@ fn permute_server(perm: &Perm, s: &ServerData) -> ServerData {
     // Fully explicit construction: `..s.clone()` would clone every Sid-bearing
     // collection only to immediately overwrite and drop it, and permute_server runs
     // once per generated successor on the canonicalizing hot path.
+    let rename = |sid| permute_sid(perm, sid);
     ServerData {
         current_epoch: s.current_epoch,
         accepted_epoch: s.accepted_epoch,
@@ -232,27 +234,23 @@ fn permute_server(perm: &Perm, s: &ServerData) -> ServerData {
         recv_votes: s
             .recv_votes
             .iter()
-            .map(|(sid, v)| (permute_sid(perm, *sid), permute_vote(perm, v)))
+            .map(|(sid, v)| (permute_sid(perm, sid), permute_vote(perm, v)))
             .collect(),
-        learners: s.learners.iter().map(|l| permute_sid(perm, *l)).collect(),
+        learners: s.learners.map(rename),
         learner_last_zxid: s
             .learner_last_zxid
             .iter()
-            .map(|(sid, z)| (permute_sid(perm, *sid), *z))
+            .map(|(sid, z)| (permute_sid(perm, sid), *z))
             .collect(),
         epoch_proposed: s.epoch_proposed,
-        epoch_acks: s.epoch_acks.iter().map(|a| permute_sid(perm, *a)).collect(),
-        sync_sent: s.sync_sent.iter().map(|a| permute_sid(perm, *a)).collect(),
-        newleader_acks: s
-            .newleader_acks
-            .iter()
-            .map(|a| permute_sid(perm, *a))
-            .collect(),
+        epoch_acks: s.epoch_acks.map(rename),
+        sync_sent: s.sync_sent.map(rename),
+        newleader_acks: s.newleader_acks.map(rename),
         established: s.established,
         pending_acks: s
             .pending_acks
             .iter()
-            .map(|(z, acks)| (*z, acks.iter().map(|a| permute_sid(perm, *a)).collect()))
+            .map(|(z, acks)| (*z, acks.map(rename)))
             .collect(),
         connected: s.connected,
         packets_not_committed: s.packets_not_committed.clone(),
@@ -263,8 +261,15 @@ fn permute_server(perm: &Perm, s: &ServerData) -> ServerData {
     }
 }
 
-fn permute_ghost(perm: &Perm, g: &GhostState) -> GhostState {
-    GhostState {
+fn permute_ghost(perm: &Perm, g: &Shared<GhostState>) -> Shared<GhostState> {
+    if g.established_leaders
+        .values()
+        .all(|l| permute_sid(perm, *l) == *l)
+    {
+        // No establishment record moves: keep sharing the parent's ghost state.
+        return g.clone();
+    }
+    Shared::new(GhostState {
         established_leaders: g
             .established_leaders
             .iter()
@@ -273,7 +278,7 @@ fn permute_ghost(perm: &Perm, g: &GhostState) -> GhostState {
         duplicate_establishment: g.duplicate_establishment,
         initial_history: g.initial_history.clone(),
         broadcast: g.broadcast.clone(),
-    }
+    })
 }
 
 /// `order[new_pos] = old index  ⇒  π(old) = new_pos`.
@@ -311,34 +316,34 @@ fn minimize_over_groups(
 fn rel(state: &ZabState, i: Sid, j: Sid) -> u64 {
     let s = &state.servers[i];
     let mut r = state.msgs[i][j].len().min(255) as u64;
-    if state.partitioned.contains(&(i.min(j), i.max(j))) {
+    if state.partitioned.contains((i, j)) {
         r |= 1 << 8;
     }
     if s.leader == Some(j) {
         r |= 1 << 9;
     }
-    if s.recv_votes.contains_key(&j) {
+    if s.recv_votes.contains_key(j) {
         r |= 1 << 10;
     }
     if s.vote.leader == j {
         r |= 1 << 11;
     }
-    if s.learners.contains(&j) {
+    if s.learners.contains(j) {
         r |= 1 << 12;
     }
-    if s.epoch_acks.contains(&j) {
+    if s.epoch_acks.contains(j) {
         r |= 1 << 13;
     }
-    if s.sync_sent.contains(&j) {
+    if s.sync_sent.contains(j) {
         r |= 1 << 14;
     }
-    if s.newleader_acks.contains(&j) {
+    if s.newleader_acks.contains(j) {
         r |= 1 << 15;
     }
-    if s.learner_last_zxid.contains_key(&j) {
+    if s.learner_last_zxid.contains_key(j) {
         r |= 1 << 16;
     }
-    if s.pending_acks.values().any(|acks| acks.contains(&j)) {
+    if s.pending_acks.values().any(|acks| acks.contains(j)) {
         r |= 1 << 17;
     }
     r
@@ -616,24 +621,11 @@ impl Canonicalize for ZabState {
         let servers: Vec<ServerData> = (0..n)
             .map(|new_pos| permute_server(perm, &self.servers[inv.apply(new_pos)]))
             .collect();
-        let mut msgs = vec![vec![Vec::new(); n]; n];
-        for (i, row) in self.msgs.iter().enumerate() {
-            for (j, queue) in row.iter().enumerate() {
-                msgs[permute_sid(perm, i)][permute_sid(perm, j)] =
-                    queue.iter().map(|m| permute_message(perm, m)).collect();
-            }
-        }
+        let rename = |sid| permute_sid(perm, sid);
         ZabState {
             servers,
-            msgs,
-            partitioned: self
-                .partitioned
-                .iter()
-                .map(|(a, b)| {
-                    let (pa, pb) = (permute_sid(perm, *a), permute_sid(perm, *b));
-                    (pa.min(pb), pa.max(pb))
-                })
-                .collect(),
+            msgs: self.msgs.map(rename, |m| permute_message(perm, m)),
+            partitioned: self.partitioned.map(rename),
             crashes_remaining: self.crashes_remaining,
             partitions_remaining: self.partitions_remaining,
             txns_created: self.txns_created,
@@ -812,10 +804,10 @@ mod tests {
         let swap02 = Perm::from_image(vec![2, 1, 0]);
         let t = s.permute(&swap02);
         assert_eq!(t.servers[2].leader, Some(0));
-        assert_eq!(t.servers[2].recv_votes[&0].leader, 0);
-        assert_eq!(t.servers[0].learner_last_zxid[&2], Zxid::new(1, 1));
-        assert!(t.servers[0].pending_acks[&Zxid::new(1, 1)].contains(&2));
-        assert!(t.partitioned.contains(&(0, 2)), "pair stays normalized");
+        assert_eq!(t.servers[2].recv_votes[0].leader, 0);
+        assert_eq!(t.servers[0].learner_last_zxid[2], Zxid::new(1, 1));
+        assert!(t.servers[0].pending_acks[&Zxid::new(1, 1)].contains(2));
+        assert!(t.partitioned.contains((0, 2)), "pair stays normalized");
         assert_eq!(t.ghost.established_leaders[&1], 0);
         assert_eq!(t.violation.as_ref().unwrap().server, 0);
         // Round-trip through the inverse restores the original.

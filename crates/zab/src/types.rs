@@ -102,7 +102,7 @@ pub enum SyncMode {
 /// `FastLeaderElection.totalOrderPredicate` uses, which is what makes a node with a
 /// higher `currentEpoch` but stale history win an election (the mechanism behind
 /// ZK-4643).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Vote {
     /// The voter's current epoch (peer epoch).
     pub epoch: u32,

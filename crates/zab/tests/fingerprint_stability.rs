@@ -10,8 +10,9 @@
 //!   only one of the three that exercises fast-leader-election votes and partitions);
 //! * seeded pseudo-random walks deep into mSpec-3 and SysSpec (broadcast proposals,
 //!   pending acks, crashes, ghost histories);
-//! * the canonical representatives of the SysSpec corpus, whose tie-breaks pick the
-//!   `Ord`-minimal candidate and so also pin the state ordering;
+//! * the canonical representatives of the SysSpec corpus, which pass every state
+//!   through the sid-renaming rewrite of each container (the containers' unit tests
+//!   check that their `Ord` matches the replaced std containers);
 //! * the initial states of the `small`, `table4`, `table5` and `explore` configurations
 //!   and of five- and eight-server ensembles.
 //!
@@ -89,12 +90,18 @@ fn assert_reaches_every_container(states: &[ZabState]) {
     );
     assert!(servers().any(|s| !s.epoch_acks.is_empty()), "epoch_acks");
     assert!(servers().any(|s| !s.sync_sent.is_empty()), "sync_sent");
-    assert!(servers().any(|s| !s.newleader_acks.is_empty()), "newleader_acks");
+    assert!(
+        servers().any(|s| !s.newleader_acks.is_empty()),
+        "newleader_acks"
+    );
     assert!(
         servers().any(|s| s.pending_acks.values().any(|acks| !acks.is_empty())),
         "pending_acks"
     );
-    assert!(states.iter().any(|s| !s.partitioned.is_empty()), "partitioned");
+    assert!(
+        states.iter().any(|s| !s.partitioned.is_empty()),
+        "partitioned"
+    );
     assert!(
         states.iter().any(|s| !s.ghost.initial_history.is_empty()),
         "ghost"

@@ -213,8 +213,8 @@ proptest! {
                             let back = 1u64 << (t * MAX_EFFECT_SERVERS + f);
                             if e.writes_channels & (bit | back) == 0 {
                                 prop_assert_eq!(
-                                    parent.partitioned.contains(&(f, t)),
-                                    next.partitioned.contains(&(f, t)),
+                                    parent.partitioned.contains((f, t)),
+                                    next.partitioned.contains((f, t)),
                                     "label {} repartitioned undeclared pair ({}, {})",
                                     inst.label, f, t
                                 );

@@ -42,7 +42,7 @@ proptest! {
     #[test]
     fn fingerprints_are_deterministic(history in arb_history(), epoch in 0u32..5) {
         let mut a = ZabState::initial(&ClusterConfig::small(CodeVersion::V391));
-        a.servers[0].history = history.clone();
+        a.servers[0].history = history.clone().into();
         a.servers[0].current_epoch = epoch;
         let b = a.clone();
         prop_assert_eq!(fingerprint(&a), fingerprint(&b));
@@ -55,7 +55,7 @@ proptest! {
     #[test]
     fn delivered_is_a_prefix_of_history(history in arb_history(), committed in 0usize..10) {
         let mut sd = ServerData::initial(0);
-        sd.history = history.clone();
+        sd.history = history.clone().into();
         sd.last_committed = committed;
         let delivered = sd.delivered();
         prop_assert!(delivered.len() <= history.len());
@@ -105,7 +105,7 @@ proptest! {
     #[test]
     fn projection_is_stable(history in arb_history()) {
         let mut s = ZabState::initial(&ClusterConfig::small(CodeVersion::V391));
-        s.servers[1].history = history;
+        s.servers[1].history = history.into();
         let vars = ["history", "currentEpoch", "lastCommitted"];
         let p1 = s.project(&vars);
         let p2 = s.project(&vars);
@@ -117,13 +117,13 @@ proptest! {
     #[test]
     fn crash_restart_preserves_durable_state(history in arb_history(), epoch in 0u32..5) {
         let mut sd = ServerData::initial(1);
-        sd.history = history.clone();
+        sd.history = history.clone().into();
         sd.current_epoch = epoch;
         sd.last_committed = history.len();
         sd.queued_requests.push(Txn::new(9, 9, 9));
         sd.crash();
         sd.restart(1);
-        prop_assert_eq!(sd.history, history);
+        prop_assert_eq!(&*sd.history, &history);
         prop_assert_eq!(sd.current_epoch, epoch);
         prop_assert!(sd.queued_requests.is_empty(), "volatile state is lost");
     }
