@@ -25,10 +25,8 @@
 //! distinguish states below the projection, but it never reports a false divergence
 //! for that reason.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -429,15 +427,6 @@ impl<S: fmt::Debug> fmt::Display for RefineOutcome<S> {
     }
 }
 
-/// Fingerprint of a projected state (64 bits suffice: projections are compared, not
-/// stored, and any collision would only *mask* a divergence on quotient classes that
-/// already over-approximate).
-fn projection_key(projected: &BTreeMap<String, Value>) -> u64 {
-    let mut h = DefaultHasher::new();
-    projected.hash(&mut h);
-    h.finish()
-}
-
 /// Renders a projected state for divergence reports.
 fn render_projection(projected: &BTreeMap<String, Value>) -> String {
     let fields: Vec<String> = projected
@@ -531,7 +520,9 @@ impl<S: SpecState> SideSummary<S> {
         })
     }
 
-    /// The projection key of a stable state.  No canonicalization is needed even
+    /// The projection key of a stable state.  64 bits suffice: projections are
+    /// compared, not stored, and a collision would only *mask* a divergence on quotient
+    /// classes that already over-approximate.  No canonicalization is needed even
     /// under symmetry reduction: the mode is gated on
     /// `TraceProjection::assume_equivariant`, under which projection and stability
     /// agree on every member of an orbit — so projecting the raw state yields the
@@ -539,7 +530,7 @@ impl<S: SpecState> SideSummary<S> {
     fn project_key_of(&self, projection: &TraceProjection<S>, state: &S) -> Option<u64> {
         projection
             .is_stable(state)
-            .then(|| projection_key(&projection.project_state(state)))
+            .then(|| projection.project_state(state).key())
     }
 }
 
@@ -626,8 +617,7 @@ fn explore_side<S: SpecState>(
         drop(handle);
         let mut lset = BTreeSet::new();
         if projection.is_stable(&state) {
-            let projected = projection.project_state(&state);
-            let key = projection_key(&projected);
+            let key = projection.project_state(&state).key();
             lset.insert(key);
             summary.projs.entry(key).or_insert((index, 0));
         }
@@ -703,10 +693,6 @@ fn explore_side<S: SpecState>(
         let mut new_edges: Vec<(u64, u64)> = Vec::new();
         for batch in batches {
             for rec in batch {
-                let child_lset: BTreeSet<u64> = match rec.stable_key {
-                    Some(key) => std::iter::once(key).collect(),
-                    None => (*rec.parent_lset).clone(),
-                };
                 let mut handle = summary.seen.lock_shard(summary.seen.shard_of(rec.fp));
                 let insert = match rec.perm {
                     Some(perm) => handle.insert_canonical(
@@ -742,18 +728,26 @@ fn explore_side<S: SpecState>(
                         let mut lsets = summary.lsets.write();
                         let existing = lsets.entry(index).or_default();
                         let before = existing.len();
-                        existing.extend(child_lset.iter().copied());
-                        let grew = existing.len() > before;
-                        let merged = Arc::new(existing.clone());
-                        drop(lsets);
-                        if grew && rec.stable_key.is_none() {
+                        match rec.stable_key {
+                            Some(key) => {
+                                existing.insert(key);
+                            }
+                            None => existing.extend(rec.parent_lset.iter().copied()),
+                        }
+                        if existing.len() > before && rec.stable_key.is_none() {
+                            let merged = Arc::new(existing.clone());
+                            drop(lsets);
                             next.push((index, state, merged));
                         }
                     }
                     Insert::Fresh(index, state) => {
-                        if let Some(key) = rec.stable_key {
-                            summary.projs.entry(key).or_insert((index, child_depth));
-                        }
+                        let child_lset: BTreeSet<u64> = match rec.stable_key {
+                            Some(key) => {
+                                summary.projs.entry(key).or_insert((index, child_depth));
+                                std::iter::once(key).collect()
+                            }
+                            None => (*rec.parent_lset).clone(),
+                        };
                         summary.lsets.write().insert(index, child_lset.clone());
                         // While draining, stable successors close their stabilization
                         // and are not expanded further: only the unstable closure of
@@ -828,7 +822,7 @@ fn expand_chunk<S: SpecState>(
             };
             let fp = fingerprint(&next);
             let stable_key = if projection.is_stable(&next) {
-                Some(projection_key(&projection.project_state(&next)))
+                Some(projection.project_state(&next).key())
             } else {
                 None
             };
@@ -986,7 +980,9 @@ pub fn check_refinement<S: SpecState>(
             // `d.projection`; prepend the source class the coarse side cannot leave.
             if let Some((from_index, _)) = fine_side.projs.get(&from) {
                 let rendered = render_projection(
-                    &projection.project_state(&fine_side.state_of(fine, *from_index)),
+                    &projection
+                        .project_state(&fine_side.state_of(fine, *from_index))
+                        .vars(),
                 );
                 d.projection = format!("{rendered} ⟶ {}", d.projection);
             }
@@ -1019,7 +1015,7 @@ fn build_divergence<S: SpecState>(
     let original_depth = witness.depth();
     let rendered = witness
         .last_state()
-        .map(|s| render_projection(&projection.project_state(s)))
+        .map(|s| render_projection(&projection.project_state(s).vars()))
         .unwrap_or_default();
     let witness = if options.shrink_witness {
         let ShrinkOutcome { trace, .. } = shrink_trace(witness_spec, &witness, oracle);

@@ -63,7 +63,10 @@ pub use error::SpecError;
 pub use invariant::{Invariant, InvariantScope, InvariantSource};
 pub use label::{LabelId, LabelTable, INIT_LABEL};
 pub use module::{ModuleId, ModuleSpec};
-pub use projection::{LabelProjectionFn, StabilityFn, StateProjectionFn, TraceProjection};
+pub use projection::{
+    view_key, LabelProjectionFn, Projected, ProjectedState, StabilityFn, StateProjectionFn,
+    TraceProjection,
+};
 pub use reflect::{FieldInfo, StateFields};
 pub use spec::{CanonFn, IncrementalCanon, Spec, SpecState};
 pub use symmetry::{canon_stats, Canonicalize, IncrementalCanonicalize, Perm};

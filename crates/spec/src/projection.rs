@@ -21,9 +21,18 @@
 //! [`TraceProjection::project_trace`] applies all three to a concrete trace, producing
 //! the condensed, stable-snapshot [`ProjectedTrace`] on which trace equivalence (the
 //! `~` relation of Appendix B.4) is decided.
+//!
+//! A state projection returns a typed [`Projected`] view.  The view is the single
+//! definition of a projected class: its [`key`](Projected::key) is what the refinement
+//! checker compares on every stable successor, and its [`vars`](Projected::vars)
+//! rendering is built only for divergence reports and projected traces.  A plain
+//! `BTreeMap<String, Value>` is itself a view, so hand-written projections that build
+//! the variable map directly keep working.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::action::Granularity;
@@ -31,8 +40,63 @@ use crate::spec::SpecState;
 use crate::trace::{condense, ProjectedStep, ProjectedTrace, Trace};
 use crate::value::Value;
 
-/// Function projecting a state onto its externally visible variables.
-pub type StateProjectionFn<S> = Arc<dyn Fn(&S) -> BTreeMap<String, Value> + Send + Sync>;
+/// The externally visible part of a state at the coarse granularity.
+///
+/// Implementations must keep the two methods consistent: equal renderings have equal
+/// keys.  Deriving `Eq` and `Hash` on a view that holds exactly the visible fields, and
+/// keying it with [`view_key`], gives that for free.  Distinct views may still share a
+/// 64-bit key; the refinement checker then merges their classes on both sides, which
+/// can only hide a divergence, never report one that does not exist.
+pub trait Projected: Send + Sync + 'static {
+    /// The 64-bit key of the projected class.
+    fn key(&self) -> u64;
+
+    /// The view rendered variable by variable.
+    fn vars(&self) -> BTreeMap<String, Value>;
+}
+
+/// The key of a view: the SipHash-1-3 digest of its `Hash` stream.
+pub fn view_key<T: Hash + ?Sized>(view: &T) -> u64 {
+    let mut h = DefaultHasher::new();
+    view.hash(&mut h);
+    h.finish()
+}
+
+/// A variable map is its own rendering.
+impl Projected for BTreeMap<String, Value> {
+    fn key(&self) -> u64 {
+        view_key(self)
+    }
+
+    fn vars(&self) -> BTreeMap<String, Value> {
+        self.clone()
+    }
+}
+
+/// A projected state, as [`TraceProjection::project_state`] returns it: the typed view
+/// the projection produced.
+pub struct ProjectedState(Box<dyn Projected>);
+
+impl ProjectedState {
+    /// The 64-bit key of the projected class ([`Projected::key`]).
+    pub fn key(&self) -> u64 {
+        self.0.key()
+    }
+
+    /// The view rendered variable by variable ([`Projected::vars`]).
+    pub fn vars(&self) -> BTreeMap<String, Value> {
+        self.0.vars()
+    }
+}
+
+impl<P: Projected> From<P> for ProjectedState {
+    fn from(view: P) -> Self {
+        ProjectedState(Box::new(view))
+    }
+}
+
+/// Function projecting a state onto its externally visible view.
+pub type StateProjectionFn<S> = Arc<dyn Fn(&S) -> ProjectedState + Send + Sync>;
 
 /// Function mapping a fine action label onto the coarse label space (`None` = internal).
 pub type LabelProjectionFn = Arc<dyn Fn(&str) -> Option<String> + Send + Sync>;
@@ -73,22 +137,21 @@ impl<S: SpecState> TraceProjection<S> {
             name: name.into(),
             coarse,
             fine,
-            state: Arc::new(|s: &S| {
-                let vars = S::variable_names();
-                s.project(&vars)
-            }),
+            state: Arc::new(|s: &S| s.project(&S::variable_names()).into()),
             label: Arc::new(|l: &str| Some(l.to_owned())),
             stable: Arc::new(|_| true),
             equivariant: false,
         }
     }
 
-    /// Replaces the state projection.
-    pub fn with_state(
+    /// Replaces the state projection.  The function may return any [`Projected`] view
+    /// (a variable map, a typed view) or the [`ProjectedState`] of another projection,
+    /// which is passed through without re-wrapping.
+    pub fn with_state<P: Into<ProjectedState>>(
         mut self,
-        state: impl Fn(&S) -> BTreeMap<String, Value> + Send + Sync + 'static,
+        state: impl Fn(&S) -> P + Send + Sync + 'static,
     ) -> Self {
-        self.state = Arc::new(state);
+        self.state = Arc::new(move |s: &S| state(s).into());
         self
     }
 
@@ -130,8 +193,8 @@ impl<S: SpecState> TraceProjection<S> {
         self.equivariant
     }
 
-    /// Projects one state onto its externally visible variables.
-    pub fn project_state(&self, state: &S) -> BTreeMap<String, Value> {
+    /// Projects one state onto its externally visible view.
+    pub fn project_state(&self, state: &S) -> ProjectedState {
         (self.state)(state)
     }
 
@@ -167,7 +230,7 @@ impl<S: SpecState> TraceProjection<S> {
             };
             steps.push(ProjectedStep {
                 action,
-                vars: self.project_state(&step.state),
+                vars: self.project_state(&step.state).vars(),
             });
         }
         condense(&ProjectedTrace { steps })

@@ -44,7 +44,7 @@ pub use containers::{Channels, PairSet, Shared, SidMap, SidSet};
 pub use fields::underdeclare_node_restart;
 pub use presets::{build_from_plan, SpecPreset};
 pub use projection::{
-    baseline_vs_fine_sync, coarse_vs_baseline, projection_between, ProjectionSpec,
+    baseline_vs_fine_sync, coarse_vs_baseline, projection_between, ProjectionSpec, ZabView,
 };
 pub use state::{GhostState, ServerData, ZabState};
 pub use types::{

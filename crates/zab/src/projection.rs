@@ -28,12 +28,19 @@
 //! partitions, the ghost variables (established epochs, initial histories, broadcast
 //! order) and the code-level `violation` marker — i.e. exactly the state the
 //! non-coarsened modules interact with.
+//!
+//! These visibility rules live in one place, [`ZabView::of`].  The refinement checker
+//! keys projected classes on the view's derived `Hash`; the variable map a divergence
+//! report shows is rendered from the same view.
 
-use remix_spec::{CompositionPlan, Granularity, TraceProjection, Value};
+use std::collections::BTreeMap;
+
+use remix_spec::{view_key, CompositionPlan, Granularity, Projected, TraceProjection, Value};
 
 use crate::config::ClusterConfig;
-use crate::state::{ServerData, ZabState};
-use crate::types::{Message, ServerState, ZabPhase};
+use crate::containers::{PairSet, Shared, SidSet};
+use crate::state::{GhostState, ServerData, ZabState};
+use crate::types::{CodeViolation, Message, ServerState, Sid, Txn, ZabPhase, Zxid};
 
 /// Which normalizations a projection applies (derived from the pair of composition
 /// plans being compared).
@@ -79,222 +86,350 @@ fn in_phase(sv: &ServerData) -> bool {
     sv.is_up() && matches!(sv.phase, ZabPhase::Synchronization | ZabPhase::Broadcast)
 }
 
-fn zxid_value(z: crate::types::Zxid) -> Value {
+fn zxid_value(z: Zxid) -> Value {
     Value::record(vec![
         ("epoch".to_owned(), Value::from(z.epoch)),
         ("counter".to_owned(), Value::from(z.counter)),
     ])
 }
 
-fn txn_value(t: &crate::types::Txn) -> Value {
+fn txn_value(t: &Txn) -> Value {
     Value::record(vec![
         ("zxid".to_owned(), zxid_value(t.zxid)),
         ("value".to_owned(), Value::from(t.value)),
     ])
 }
 
-fn history_value(txns: &[crate::types::Txn]) -> Value {
+fn history_value(txns: &[Txn]) -> Value {
     Value::Seq(txns.iter().map(txn_value).collect())
 }
 
-/// Projects one server onto its visible record under `spec`.
-fn project_server(sv: &ServerData, spec: ProjectionSpec) -> Value {
-    let mut fields: Vec<(String, Value)> = vec![
-        // Durable data state: always visible — this is what the invariants are about.
-        ("history".to_owned(), history_value(&sv.history)),
-        (
-            "lastCommitted".to_owned(),
-            Value::from(sv.last_committed.min(sv.history.len())),
-        ),
-        // Thread queues: visible (the ZK-4712 stale-queue interaction lives here); the
-        // sync normalization makes states with non-empty queues unstable instead.
-        (
-            "queuedRequests".to_owned(),
-            history_value(&sv.queued_requests),
-        ),
-        (
-            "committedRequests".to_owned(),
-            Value::Seq(sv.pending_commits.iter().map(|z| zxid_value(*z)).collect()),
-        ),
-    ];
+fn zxids_value(zxids: &[Zxid]) -> Value {
+    Value::Seq(zxids.iter().map(|z| zxid_value(*z)).collect())
+}
 
-    let visible_control = !spec.normalize_election || in_phase(sv) || !sv.is_up();
-    let state_label = if spec.normalize_election && sv.is_up() && !in_phase(sv) {
-        // Anything still inside the coarsened handshake renders as a plain LOOKING
-        // server; the handshake's intermediate control state is internal.
-        "Looking".to_owned()
-    } else {
-        format!("{:?}", sv.state)
-    };
-    fields.push(("state".to_owned(), Value::str(state_label)));
+fn sids_value(sids: SidSet) -> Value {
+    Value::set(sids.iter().map(Value::from).collect())
+}
 
-    if visible_control && sv.is_up() {
-        fields.push(("zabState".to_owned(), Value::str(format!("{:?}", sv.phase))));
-        fields.push((
-            "leaderAddr".to_owned(),
-            match sv.leader {
-                Some(l) => Value::from(l),
-                None => Value::Int(-1),
+/// The control state of a server whose handshake progress is visible.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct ControlView {
+    phase: ZabPhase,
+    leader: Option<Sid>,
+    serving: bool,
+    established: bool,
+    epoch_proposed: bool,
+    sync_sent: SidSet,
+    newleader_acks: SidSet,
+    pending_acks: BTreeMap<Zxid, SidSet>,
+    packets_not_committed: Vec<Txn>,
+    packets_committed: Vec<Zxid>,
+}
+
+/// The visible part of one server under a [`ProjectionSpec`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct ServerView {
+    history: Shared<Vec<Txn>>,
+    last_committed: usize,
+    queued_requests: Vec<Txn>,
+    pending_commits: Vec<Zxid>,
+    state: ServerState,
+    control: Option<ControlView>,
+    /// `(currentEpoch, acceptedEpoch)`.
+    epochs: Option<(u32, u32)>,
+    /// `(learners, ackeRecv)`.
+    election: Option<(SidSet, SidSet)>,
+}
+
+impl ServerView {
+    fn of(sv: &ServerData, spec: ProjectionSpec) -> Self {
+        let handshake_hidden = spec.normalize_election && !in_phase(sv);
+        ServerView {
+            // Durable data state: always visible — this is what the invariants are about.
+            history: sv.history.clone(),
+            last_committed: sv.last_committed.min(sv.history.len()),
+            // Thread queues: visible (the ZK-4712 stale-queue interaction lives here);
+            // the sync normalization makes states with non-empty queues unstable
+            // instead.
+            queued_requests: sv.queued_requests.clone(),
+            pending_commits: sv.pending_commits.clone(),
+            // Anything still inside the coarsened handshake shows as a plain LOOKING
+            // server; the handshake's intermediate control state is internal.
+            state: if handshake_hidden && sv.is_up() {
+                ServerState::Looking
+            } else {
+                sv.state
             },
-        ));
-        fields.push(("serving".to_owned(), Value::Bool(sv.serving)));
-        fields.push(("established".to_owned(), Value::Bool(sv.established)));
-        fields.push(("epochProposed".to_owned(), Value::Bool(sv.epoch_proposed)));
-        fields.push((
-            "syncSent".to_owned(),
-            Value::set(sv.sync_sent.iter().map(Value::from).collect()),
-        ));
-        fields.push((
-            "ackldRecv".to_owned(),
-            Value::set(sv.newleader_acks.iter().map(Value::from).collect()),
-        ));
-        fields.push((
-            "proposalAcks".to_owned(),
-            Value::Seq(
-                sv.pending_acks
+            control: (sv.is_up() && !handshake_hidden).then(|| ControlView {
+                phase: sv.phase,
+                leader: sv.leader,
+                serving: sv.serving,
+                established: sv.established,
+                epoch_proposed: sv.epoch_proposed,
+                sync_sent: sv.sync_sent,
+                newleader_acks: sv.newleader_acks,
+                pending_acks: sv.pending_acks.clone(),
+                packets_not_committed: sv.packets_not_committed.clone(),
+                packets_committed: sv.packets_committed.clone(),
+            }),
+            // Epoch markers: visible for servers inside the protocol phases; for
+            // LOOKING / DOWN servers they are only visible when the election handshake
+            // is not normalized (the atomic ElectionAndDiscovery cannot reproduce
+            // partially negotiated epochs, and their only downstream effect — which
+            // epoch the next round negotiates and who wins it — is re-exposed through
+            // the states that round produces).
+            epochs: (!handshake_hidden).then_some((sv.current_epoch, sv.accepted_epoch)),
+            // Election granularities match on both sides: election bookkeeping evolves
+            // identically and stays comparable.
+            election: (!spec.normalize_election).then_some((sv.learners, sv.epoch_acks)),
+        }
+    }
+
+    fn value(&self) -> Value {
+        let mut fields: Vec<(String, Value)> = vec![
+            ("history".to_owned(), history_value(&self.history)),
+            ("lastCommitted".to_owned(), Value::from(self.last_committed)),
+            (
+                "queuedRequests".to_owned(),
+                history_value(&self.queued_requests),
+            ),
+            (
+                "committedRequests".to_owned(),
+                zxids_value(&self.pending_commits),
+            ),
+            ("state".to_owned(), Value::str(format!("{:?}", self.state))),
+        ];
+        if let Some(c) = &self.control {
+            fields.push(("zabState".to_owned(), Value::str(format!("{:?}", c.phase))));
+            fields.push((
+                "leaderAddr".to_owned(),
+                match c.leader {
+                    Some(l) => Value::from(l),
+                    None => Value::Int(-1),
+                },
+            ));
+            fields.push(("serving".to_owned(), Value::Bool(c.serving)));
+            fields.push(("established".to_owned(), Value::Bool(c.established)));
+            fields.push(("epochProposed".to_owned(), Value::Bool(c.epoch_proposed)));
+            fields.push(("syncSent".to_owned(), sids_value(c.sync_sent)));
+            fields.push(("ackldRecv".to_owned(), sids_value(c.newleader_acks)));
+            fields.push((
+                "proposalAcks".to_owned(),
+                Value::Seq(
+                    c.pending_acks
+                        .iter()
+                        .map(|(z, acks)| {
+                            Value::record(vec![
+                                ("zxid".to_owned(), zxid_value(*z)),
+                                ("acks".to_owned(), sids_value(*acks)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ));
+            fields.push((
+                "packetsSync".to_owned(),
+                Value::record(vec![
+                    (
+                        "notCommitted".to_owned(),
+                        history_value(&c.packets_not_committed),
+                    ),
+                    ("committed".to_owned(), zxids_value(&c.packets_committed)),
+                ]),
+            ));
+        }
+        if let Some((current, accepted)) = self.epochs {
+            fields.push(("currentEpoch".to_owned(), Value::from(current)));
+            fields.push(("acceptedEpoch".to_owned(), Value::from(accepted)));
+        }
+        if let Some((learners, epoch_acks)) = self.election {
+            fields.push(("learners".to_owned(), sids_value(learners)));
+            fields.push(("ackeRecv".to_owned(), sids_value(epoch_acks)));
+        }
+        Value::record(fields)
+    }
+}
+
+/// `true` when `msg` is hidden under `spec`: election messages are internal to the
+/// Election/Discovery coarsening, ACKs to the fine-grained sync thread model.
+fn hidden_msg(msg: &Message, spec: ProjectionSpec) -> bool {
+    match msg {
+        Message::Notification { .. }
+        | Message::FollowerInfo { .. }
+        | Message::LeaderInfo { .. }
+        | Message::AckEpoch { .. } => spec.normalize_election,
+        Message::Ack { .. } => spec.normalize_sync,
+        _ => false,
+    }
+}
+
+/// One channel's visible messages (only channels with at least one are kept).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct ChannelView {
+    from: Sid,
+    to: Sid,
+    queue: Vec<Message>,
+}
+
+/// The projected view of a [`ZabState`]: exactly the fields visible under a
+/// [`ProjectionSpec`].
+///
+/// This is the one definition of the Zab projection.  The refinement checker keys
+/// projected classes on the view's derived `Hash`; [`Projected::vars`] renders the
+/// same view as a variable map for divergence reports and projected traces, so two
+/// views are equal exactly when their renderings are.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ZabView {
+    servers: Vec<ServerView>,
+    channels: Vec<ChannelView>,
+    partitioned: PairSet,
+    crashes_remaining: u32,
+    partitions_remaining: u32,
+    txns_created: u32,
+    /// Fully visible: the protocol-level invariants read the ghost variables, so a
+    /// coarsening that changed them would change verification results.
+    ghost: Shared<GhostState>,
+    violation: Option<CodeViolation>,
+}
+
+impl ZabView {
+    /// The view of `state` under `spec`.
+    pub fn of(state: &ZabState, spec: ProjectionSpec) -> Self {
+        let mut channels = Vec::new();
+        for (from, row) in state.msgs.rows().enumerate() {
+            for (to, queue) in row.iter().enumerate() {
+                let queue: Vec<Message> = queue
                     .iter()
-                    .map(|(z, acks)| {
+                    .filter(|m| !hidden_msg(m, spec))
+                    .cloned()
+                    .collect();
+                if !queue.is_empty() {
+                    channels.push(ChannelView { from, to, queue });
+                }
+            }
+        }
+        ZabView {
+            servers: state
+                .servers
+                .iter()
+                .map(|sv| ServerView::of(sv, spec))
+                .collect(),
+            channels,
+            partitioned: state.partitioned,
+            crashes_remaining: state.crashes_remaining,
+            partitions_remaining: state.partitions_remaining,
+            txns_created: state.txns_created,
+            ghost: state.ghost.clone(),
+            violation: state.violation.clone(),
+        }
+    }
+}
+
+impl Projected for ZabView {
+    fn key(&self) -> u64 {
+        view_key(self)
+    }
+
+    fn vars(&self) -> BTreeMap<String, Value> {
+        let ghost = &*self.ghost;
+        let mut out = BTreeMap::new();
+        out.insert(
+            "servers".to_owned(),
+            Value::Seq(self.servers.iter().map(ServerView::value).collect()),
+        );
+        out.insert(
+            "msgs".to_owned(),
+            Value::Seq(
+                self.channels
+                    .iter()
+                    .map(|c| {
                         Value::record(vec![
-                            ("zxid".to_owned(), zxid_value(*z)),
+                            ("from".to_owned(), Value::from(c.from)),
+                            ("to".to_owned(), Value::from(c.to)),
                             (
-                                "acks".to_owned(),
-                                Value::set(acks.iter().map(Value::from).collect()),
+                                "queue".to_owned(),
+                                Value::Seq(
+                                    c.queue
+                                        .iter()
+                                        .map(|m| Value::str(format!("{m:?}")))
+                                        .collect(),
+                                ),
                             ),
                         ])
                     })
                     .collect(),
             ),
-        ));
-        fields.push((
-            "packetsSync".to_owned(),
+        );
+        out.insert(
+            "partitions".to_owned(),
+            Value::set(
+                self.partitioned
+                    .iter()
+                    .map(|(a, b)| {
+                        Value::record(vec![
+                            ("a".to_owned(), Value::from(a)),
+                            ("b".to_owned(), Value::from(b)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        );
+        out.insert(
+            "crashBudget".to_owned(),
+            Value::from(self.crashes_remaining),
+        );
+        out.insert(
+            "partitionBudget".to_owned(),
+            Value::from(self.partitions_remaining),
+        );
+        out.insert("txnBudget".to_owned(), Value::from(self.txns_created));
+        out.insert(
+            "violation".to_owned(),
+            Value::str(format!("{:?}", self.violation)),
+        );
+        out.insert(
+            "ghost".to_owned(),
             Value::record(vec![
                 (
-                    "notCommitted".to_owned(),
-                    history_value(&sv.packets_not_committed),
-                ),
-                (
-                    "committed".to_owned(),
+                    "establishedLeaders".to_owned(),
                     Value::Seq(
-                        sv.packets_committed
+                        ghost
+                            .established_leaders
                             .iter()
-                            .map(|z| zxid_value(*z))
+                            .map(|(e, l)| {
+                                Value::record(vec![
+                                    ("epoch".to_owned(), Value::from(*e)),
+                                    ("leader".to_owned(), Value::from(*l)),
+                                ])
+                            })
                             .collect(),
                     ),
                 ),
+                (
+                    "duplicate".to_owned(),
+                    Value::Bool(ghost.duplicate_establishment),
+                ),
+                (
+                    "initialHistory".to_owned(),
+                    Value::Seq(
+                        ghost
+                            .initial_history
+                            .iter()
+                            .map(|(e, h)| {
+                                Value::record(vec![
+                                    ("epoch".to_owned(), Value::from(*e)),
+                                    ("history".to_owned(), history_value(h)),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+                ("broadcast".to_owned(), history_value(&ghost.broadcast)),
             ]),
-        ));
+        );
+        out
     }
-
-    // Epoch markers: visible for servers inside the protocol phases; for LOOKING / DOWN
-    // servers they are only visible when the election handshake is not normalized (the
-    // atomic ElectionAndDiscovery cannot reproduce partially negotiated epochs, and
-    // their only downstream effect — which epoch the next round negotiates and who wins
-    // it — is re-exposed through the states that round produces).
-    let epochs_visible = if spec.normalize_election {
-        in_phase(sv)
-    } else {
-        true
-    };
-    if epochs_visible {
-        fields.push(("currentEpoch".to_owned(), Value::from(sv.current_epoch)));
-        fields.push(("acceptedEpoch".to_owned(), Value::from(sv.accepted_epoch)));
-    }
-
-    if !spec.normalize_election {
-        // Election granularities match on both sides: election bookkeeping evolves
-        // identically and stays comparable.
-        fields.push((
-            "learners".to_owned(),
-            Value::set(sv.learners.iter().map(Value::from).collect()),
-        ));
-        fields.push((
-            "ackeRecv".to_owned(),
-            Value::set(sv.epoch_acks.iter().map(Value::from).collect()),
-        ));
-    }
-
-    Value::record(fields)
-}
-
-/// `true` when `msg` is internal to the Election/Discovery coarsening.
-fn election_internal_msg(msg: &Message) -> bool {
-    matches!(
-        msg,
-        Message::Notification { .. }
-            | Message::FollowerInfo { .. }
-            | Message::LeaderInfo { .. }
-            | Message::AckEpoch { .. }
-    )
-}
-
-/// Projects the network onto the visible message sequences.
-fn project_msgs(state: &ZabState, spec: ProjectionSpec) -> Value {
-    let mut channels: Vec<Value> = Vec::new();
-    for from in 0..state.n() {
-        for to in 0..state.n() {
-            let kept: Vec<Value> = state.msgs[from][to]
-                .iter()
-                .filter(|m| !(spec.normalize_election && election_internal_msg(m)))
-                .filter(|m| !(spec.normalize_sync && matches!(m, Message::Ack { .. })))
-                .map(|m| Value::str(format!("{m:?}")))
-                .collect();
-            if !kept.is_empty() {
-                channels.push(Value::record(vec![
-                    ("from".to_owned(), Value::from(from)),
-                    ("to".to_owned(), Value::from(to)),
-                    ("queue".to_owned(), Value::Seq(kept)),
-                ]));
-            }
-        }
-    }
-    Value::Seq(channels)
-}
-
-/// Projects the ghost variables (fully visible: the protocol-level invariants read
-/// them, so a coarsening that changed them would change verification results).
-fn project_ghost(state: &ZabState) -> Value {
-    Value::record(vec![
-        (
-            "establishedLeaders".to_owned(),
-            Value::Seq(
-                state
-                    .ghost
-                    .established_leaders
-                    .iter()
-                    .map(|(e, l)| {
-                        Value::record(vec![
-                            ("epoch".to_owned(), Value::from(*e)),
-                            ("leader".to_owned(), Value::from(*l)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "duplicate".to_owned(),
-            Value::Bool(state.ghost.duplicate_establishment),
-        ),
-        (
-            "initialHistory".to_owned(),
-            Value::Seq(
-                state
-                    .ghost
-                    .initial_history
-                    .iter()
-                    .map(|(e, h)| {
-                        Value::record(vec![
-                            ("epoch".to_owned(), Value::from(*e)),
-                            ("history".to_owned(), history_value(h)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "broadcast".to_owned(),
-            history_value(&state.ghost.broadcast),
-        ),
-    ])
 }
 
 /// `true` when the state is between coarse steps under `spec` (a commit point).
@@ -362,45 +497,7 @@ pub fn projection(
     spec: ProjectionSpec,
 ) -> TraceProjection<ZabState> {
     TraceProjection::identity(name, coarse, fine)
-        .with_state(move |s: &ZabState| {
-            let mut out = std::collections::BTreeMap::new();
-            out.insert(
-                "servers".to_owned(),
-                Value::Seq(
-                    s.servers
-                        .iter()
-                        .map(|sv| project_server(sv, spec))
-                        .collect(),
-                ),
-            );
-            out.insert("msgs".to_owned(), project_msgs(s, spec));
-            out.insert(
-                "partitions".to_owned(),
-                Value::set(
-                    s.partitioned
-                        .iter()
-                        .map(|(a, b)| {
-                            Value::record(vec![
-                                ("a".to_owned(), Value::from(a)),
-                                ("b".to_owned(), Value::from(b)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            );
-            out.insert("crashBudget".to_owned(), Value::from(s.crashes_remaining));
-            out.insert(
-                "partitionBudget".to_owned(),
-                Value::from(s.partitions_remaining),
-            );
-            out.insert("txnBudget".to_owned(), Value::from(s.txns_created));
-            out.insert(
-                "violation".to_owned(),
-                Value::str(format!("{:?}", s.violation)),
-            );
-            out.insert("ghost".to_owned(), project_ghost(s));
-            out
-        })
+        .with_state(move |s: &ZabState| ZabView::of(s, spec))
         .with_label(move |label: &str| {
             let name = action_name(label);
             if spec.normalize_election
@@ -514,7 +611,7 @@ mod tests {
         let p = coarse_vs_baseline(&config());
         let s = ZabState::initial(&config());
         assert!(p.is_stable(&s));
-        let projected = p.project_state(&s);
+        let projected = p.project_state(&s).vars();
         assert!(projected.contains_key("servers"));
         assert!(projected.contains_key("ghost"));
         assert!(projected.contains_key("crashBudget"));
@@ -550,10 +647,10 @@ mod tests {
         a.msgs[1][2].push(Message::Notification {
             vote: a.servers[1].vote,
         });
-        assert_eq!(p.project_state(&a), p.project_state(&b));
+        assert_eq!(p.project_state(&a).vars(), p.project_state(&b).vars());
         // A durable difference stays visible.
         a.servers[1].history.push(crate::types::Txn::new(1, 1, 7));
-        assert_ne!(p.project_state(&a), p.project_state(&b));
+        assert_ne!(p.project_state(&a).vars(), p.project_state(&b).vars());
     }
 
     #[test]

@@ -11,15 +11,24 @@
 //! * the full rendering of fixed states;
 //! * the `projection` string of the §2.2.3 residual divergence (mSpec-4 against
 //!   SysSpec on the final-fix version).
+//!
+//! Two further checks tie the typed view to its rendering: over every pinned set, two
+//! `ZabView`s are equal exactly when their `vars()` renderings are, and a projection
+//! rebuilt around forwarding closures reproduces a refinement run exactly.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::Hasher;
 use std::time::Duration;
 
 use remix_checker::fingerprint::PairHasher;
-use remix_checker::{check_refinement, corpus, CorpusOptions, DivergenceKind, RefineOptions};
-use remix_spec::{Spec, TraceProjection, Value};
-use remix_zab::{projection_between, ClusterConfig, CodeVersion, SpecPreset, ZabState};
+use remix_checker::{
+    check_refinement, corpus, CorpusOptions, DivergenceKind, RefineOptions, RefineStats,
+    RefineVerdict,
+};
+use remix_spec::{Projected, Spec, TraceProjection, Value};
+use remix_zab::{
+    projection_between, ClusterConfig, CodeVersion, ProjectionSpec, SpecPreset, ZabState, ZabView,
+};
 
 const CORPUS: CorpusOptions = CorpusOptions {
     max_states: 2_000,
@@ -32,7 +41,7 @@ fn config() -> ClusterConfig {
 
 /// The projected variables of `state`.
 fn vars(projection: &TraceProjection<ZabState>, state: &ZabState) -> BTreeMap<String, Value> {
-    projection.project_state(state)
+    projection.project_state(state).vars()
 }
 
 /// Renders projected variables the way refinement divergence reports do.
@@ -239,6 +248,99 @@ fn fixed_renderings_are_pinned() {
     }
 }
 
+/// The normalizations `projection_between` derives for `preset` against mSpec-1.
+fn normalizations(preset: SpecPreset) -> ProjectionSpec {
+    ProjectionSpec {
+        normalize_election: matches!(preset, SpecPreset::SysSpec | SpecPreset::MSpec4),
+        normalize_sync: matches!(preset, SpecPreset::MSpec2 | SpecPreset::MSpec4),
+    }
+}
+
+#[test]
+fn views_are_equal_exactly_when_their_renderings_are() {
+    for preset in [SpecPreset::SysSpec, SpecPreset::MSpec2, SpecPreset::MSpec4] {
+        for set in [Set::Corpus, Set::Walks] {
+            let (states, projection) = subject(preset, set);
+            let spec = normalizations(preset);
+            let mut by_view: HashMap<ZabView, BTreeMap<String, Value>> = HashMap::new();
+            let mut by_vars: BTreeMap<BTreeMap<String, Value>, ZabView> = BTreeMap::new();
+            let mut keys = HashSet::new();
+            for state in &states {
+                let view = ZabView::of(state, spec);
+                let vars = view.vars();
+                assert_eq!(
+                    projection.project_state(state).key(),
+                    view.key(),
+                    "{preset:?}: the projection keys on this view"
+                );
+                keys.insert(view.key());
+                if let Some(prev) = by_view.insert(view.clone(), vars.clone()) {
+                    assert_eq!(prev, vars, "{preset:?} {set:?}: equal views render equally");
+                }
+                if let Some(prev) = by_vars.insert(vars, view.clone()) {
+                    assert_eq!(
+                        prev, view,
+                        "{preset:?} {set:?}: equal renderings come from equal views"
+                    );
+                }
+            }
+            assert_eq!(by_view.len(), by_vars.len(), "{preset:?} {set:?}");
+            assert_eq!(
+                keys.len(),
+                by_view.len(),
+                "{preset:?} {set:?}: no two distinct views share a key"
+            );
+        }
+    }
+}
+
+/// `original` rebuilt around forwarding closures, the way per-layer tracing wraps a
+/// projection to time it.
+fn rebuilt(original: &TraceProjection<ZabState>) -> TraceProjection<ZabState> {
+    let (p1, p2, p3) = (original.clone(), original.clone(), original.clone());
+    let wrapped = TraceProjection::identity(original.name.clone(), original.coarse, original.fine)
+        .with_state(move |s: &ZabState| p1.project_state(s))
+        .with_label(move |l: &str| p2.project_label(l))
+        .with_stability(move |s: &ZabState| p3.is_stable(s));
+    if original.is_equivariant() {
+        wrapped.assume_equivariant()
+    } else {
+        wrapped
+    }
+}
+
+#[test]
+fn rebuilt_projection_reproduces_the_refinement_run() {
+    // mSpec-2 against mSpec-1 on four servers, one transaction and no crashes.
+    let config = ClusterConfig {
+        num_servers: 4,
+        ..config().with_crashes(0)
+    };
+    let (fine, coarse) = (SpecPreset::MSpec2, SpecPreset::MSpec1);
+    let original = projection_between(&fine.plan(), &coarse.plan(), &config)
+        .expect("mSpec-2 refines to mSpec-1");
+    let (fine, coarse) = (fine.build(&config), coarse.build(&config));
+    let options = RefineOptions::default();
+    let direct = check_refinement(&fine, &coarse, &original, &options);
+    let wrapped = check_refinement(&fine, &coarse, &rebuilt(&original), &options);
+    assert_eq!(direct.verdict(), RefineVerdict::Refines, "{direct}");
+    assert_eq!(wrapped.verdict(), direct.verdict());
+    let untimed = |stats: &RefineStats| RefineStats {
+        elapsed: Duration::ZERO,
+        ..stats.clone()
+    };
+    assert_eq!(untimed(&wrapped.stats), untimed(&direct.stats));
+    assert_eq!(
+        (
+            direct.stats.fine_states,
+            direct.stats.coarse_states,
+            direct.stats.fine_projections,
+            direct.stats.edges_checked
+        ),
+        (1_103, 902, 333, 1_913)
+    );
+}
+
 #[test]
 #[cfg_attr(debug_assertions, ignore = "expensive dual exploration; use --release")]
 fn residual_divergence_projection_is_pinned() {
@@ -268,7 +370,15 @@ fn residual_divergence_projection_is_pinned() {
         (stats.fine_projections, stats.coarse_projections),
         (5_774, 5_952)
     );
-    assert_eq!(stats.edges_checked, 64_913);
+    // Edges are matched level by level, each level in projection-key order, and the
+    // check stops at the first unmatched edge.  The 64,282 edges of the levels before
+    // the divergence level are all checked; how many of that level's 2,356 edges come
+    // before its first unmatched one depends on the 64-bit key values.
+    assert!(
+        (64_282 + 1..=64_282 + 2_356).contains(&stats.edges_checked),
+        "{}",
+        stats.edges_checked
+    );
     let divergence = outcome.divergence.expect("§2.2.3 divergence");
     assert_eq!(divergence.kind, DivergenceKind::MissingInCoarse);
     assert_eq!(divergence.original_depth, 32);

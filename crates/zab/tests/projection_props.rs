@@ -43,7 +43,7 @@ proptest! {
         let mut rng = CheckerRng::seed_from_u64(seed);
         let trace = simulate_one(&spec, depth, &mut rng);
         for step in &trace.steps {
-            let projected = projection.project_state(&step.state);
+            let projected = projection.project_state(&step.state).vars();
             prop_assert!(projected.contains_key("servers"));
             prop_assert!(projected.contains_key("ghost"));
             prop_assert!(projected.contains_key("crashBudget"));
