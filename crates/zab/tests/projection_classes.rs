@@ -22,8 +22,8 @@ use std::time::Duration;
 
 use remix_checker::fingerprint::PairHasher;
 use remix_checker::{
-    check_refinement, corpus, CorpusOptions, DivergenceKind, RefineOptions, RefineStats,
-    RefineVerdict,
+    check_refinement, corpus, CorpusOptions, DivergenceKind, RefineDivergence, RefineOptions,
+    RefineOutcome, RefineStats, RefineVerdict,
 };
 use remix_spec::{Projected, Spec, TraceProjection, Value};
 use remix_zab::{
@@ -341,9 +341,8 @@ fn rebuilt_projection_reproduces_the_refinement_run() {
     );
 }
 
-#[test]
-#[cfg_attr(debug_assertions, ignore = "expensive dual exploration; use --release")]
-fn residual_divergence_projection_is_pinned() {
+/// mSpec-4 against SysSpec on the final-fix version with `workers` expansion threads.
+fn residual_divergence(workers: usize) -> RefineOutcome<ZabState> {
     let config = ClusterConfig {
         max_transactions: 1,
         max_crashes: 0,
@@ -352,12 +351,19 @@ fn residual_divergence_projection_is_pinned() {
     let (fine, coarse) = (SpecPreset::MSpec4, SpecPreset::SysSpec);
     let projection = projection_between(&fine.plan(), &coarse.plan(), &config)
         .expect("mSpec-4 refines to SysSpec");
-    let outcome = check_refinement(
+    check_refinement(
         &fine.build(&config),
         &coarse.build(&config),
         &projection,
-        &RefineOptions::default().with_time_budget(Duration::from_secs(120)),
-    );
+        &RefineOptions::default()
+            .with_workers(workers)
+            .with_time_budget(Duration::from_secs(120)),
+    )
+}
+
+/// The pins every worker count must reproduce: counts, kind, original depth and the
+/// rendered projection.  Returns the divergence for witness checks.
+fn assert_residual_divergence_pins(outcome: RefineOutcome<ZabState>) -> RefineDivergence<ZabState> {
     // The fine side stops at the first level with a missing projection; its counts
     // depend only on which states share a projected class.
     let stats = &outcome.stats;
@@ -382,8 +388,71 @@ fn residual_divergence_projection_is_pinned() {
     let divergence = outcome.divergence.expect("§2.2.3 divergence");
     assert_eq!(divergence.kind, DivergenceKind::MissingInCoarse);
     assert_eq!(divergence.original_depth, 32);
+    assert_eq!(divergence.projection, RESIDUAL_PROJECTION);
+    divergence
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "expensive dual exploration; use --release")]
+fn residual_divergence_projection_is_pinned() {
+    let divergence = assert_residual_divergence_pins(residual_divergence(1));
+    // One worker explores in a fixed order, so the shrunk witness itself is pinned.
+    let mut labels = PairHasher::new();
+    for label in divergence.witness.action_labels() {
+        labels.write(label.as_bytes());
+        labels.write_u8(0);
+    }
     assert_eq!(
-        divergence.projection,
-        r#"[crashBudget = 0, ghost = [broadcast |-> <<[value |-> 1, zxid |-> [counter |-> 1, epoch |-> 1]]>>, duplicate |-> FALSE, establishedLeaders |-> <<[epoch |-> 1, leader |-> 2]>>, initialHistory |-> <<[epoch |-> 1, history |-> <<>>]>>], msgs = <<[from |-> 0, queue |-> <<"Notification { vote: Vote { epoch: 0, zxid: Zxid { epoch: 0, counter: 0 }, leader: 2 } }">>, to |-> 1], [from |-> 1, queue |-> <<"Notification { vote: Vote { epoch: 0, zxid: Zxid { epoch: 0, counter: 0 }, leader: 2 } }">>, to |-> 0], [from |-> 2, queue |-> <<"Commit { zxid: Zxid { epoch: 1, counter: 1 } }">>, to |-> 0], [from |-> 2, queue |-> <<"UpToDate { zxid: Zxid { epoch: 0, counter: 0 } }", "Proposal { txn: Txn { zxid: Zxid { epoch: 1, counter: 1 }, value: 1 } }", "Commit { zxid: Zxid { epoch: 1, counter: 1 } }">>, to |-> 1]>>, partitionBudget = 0, partitions = {}, servers = <<[acceptedEpoch |-> 1, ackeRecv |-> {}, ackldRecv |-> {}, committedRequests |-> <<>>, currentEpoch |-> 1, epochProposed |-> FALSE, established |-> FALSE, history |-> <<[value |-> 1, zxid |-> [counter |-> 1, epoch |-> 1]]>>, lastCommitted |-> 1, leaderAddr |-> 2, learners |-> {}, packetsSync |-> [committed |-> <<>>, notCommitted |-> <<>>], proposalAcks |-> <<>>, queuedRequests |-> <<>>, serving |-> TRUE, state |-> "Following", syncSent |-> {}, zabState |-> "Broadcast"], [acceptedEpoch |-> 1, ackeRecv |-> {}, ackldRecv |-> {}, committedRequests |-> <<>>, currentEpoch |-> 1, epochProposed |-> FALSE, established |-> FALSE, history |-> <<>>, lastCommitted |-> 0, leaderAddr |-> 2, learners |-> {}, packetsSync |-> [committed |-> <<>>, notCommitted |-> <<>>], proposalAcks |-> <<>>, queuedRequests |-> <<>>, serving |-> FALSE, state |-> "Following", syncSent |-> {}, zabState |-> "Synchronization"], [acceptedEpoch |-> 1, ackeRecv |-> {0, 1}, ackldRecv |-> {0, 1}, committedRequests |-> <<>>, currentEpoch |-> 1, epochProposed |-> TRUE, established |-> TRUE, history |-> <<[value |-> 1, zxid |-> [counter |-> 1, epoch |-> 1]]>>, lastCommitted |-> 1, leaderAddr |-> 2, learners |-> {0, 1}, packetsSync |-> [committed |-> <<>>, notCommitted |-> <<>>], proposalAcks |-> <<>>, queuedRequests |-> <<>>, serving |-> TRUE, state |-> "Leading", syncSent |-> {0, 1}, zabState |-> "Broadcast"]>>, txnBudget = 1, violation = "None"]"#
+        (divergence.witness.depth(), labels.finish128().0),
+        (32, 10_042_041_461_412_684_505),
+        "{}",
+        divergence.witness
     );
 }
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "expensive dual exploration; use --release")]
+fn residual_divergence_is_pinned_under_two_workers() {
+    // The witness path may differ with several workers; everything else may not.
+    let divergence = assert_residual_divergence_pins(residual_divergence(2));
+    assert!(divergence.witness.depth() <= divergence.original_depth);
+}
+
+/// R2 of the benchmark's `refine` workload: mSpec-2 against mSpec-1 on three servers,
+/// one transaction and one crash, with `workers` expansion threads.
+fn r2_stats(workers: usize) -> (RefineVerdict, RefineStats) {
+    let config = config().with_crashes(1);
+    let (fine, coarse) = (SpecPreset::MSpec2, SpecPreset::MSpec1);
+    let projection = projection_between(&fine.plan(), &coarse.plan(), &config)
+        .expect("mSpec-2 refines to mSpec-1");
+    let outcome = check_refinement(
+        &fine.build(&config),
+        &coarse.build(&config),
+        &projection,
+        &RefineOptions::default().with_workers(workers),
+    );
+    (outcome.verdict(), outcome.stats)
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "expensive dual exploration; use --release")]
+fn r2_counts_are_pinned_for_one_and_two_workers() {
+    for workers in [1, 2] {
+        let (verdict, stats) = r2_stats(workers);
+        assert_eq!(verdict, RefineVerdict::Refines, "workers = {workers}");
+        assert_eq!(
+            (
+                stats.fine_states,
+                stats.coarse_states,
+                stats.fine_projections,
+                stats.coarse_projections,
+                stats.edges_checked
+            ),
+            (9_274, 7_894, 2_327, 2_327, 5_818),
+            "workers = {workers}"
+        );
+    }
+}
+
+/// The rendered projection of the residual divergence.
+const RESIDUAL_PROJECTION: &str = r#"[crashBudget = 0, ghost = [broadcast |-> <<[value |-> 1, zxid |-> [counter |-> 1, epoch |-> 1]]>>, duplicate |-> FALSE, establishedLeaders |-> <<[epoch |-> 1, leader |-> 2]>>, initialHistory |-> <<[epoch |-> 1, history |-> <<>>]>>], msgs = <<[from |-> 0, queue |-> <<"Notification { vote: Vote { epoch: 0, zxid: Zxid { epoch: 0, counter: 0 }, leader: 2 } }">>, to |-> 1], [from |-> 1, queue |-> <<"Notification { vote: Vote { epoch: 0, zxid: Zxid { epoch: 0, counter: 0 }, leader: 2 } }">>, to |-> 0], [from |-> 2, queue |-> <<"Commit { zxid: Zxid { epoch: 1, counter: 1 } }">>, to |-> 0], [from |-> 2, queue |-> <<"UpToDate { zxid: Zxid { epoch: 0, counter: 0 } }", "Proposal { txn: Txn { zxid: Zxid { epoch: 1, counter: 1 }, value: 1 } }", "Commit { zxid: Zxid { epoch: 1, counter: 1 } }">>, to |-> 1]>>, partitionBudget = 0, partitions = {}, servers = <<[acceptedEpoch |-> 1, ackeRecv |-> {}, ackldRecv |-> {}, committedRequests |-> <<>>, currentEpoch |-> 1, epochProposed |-> FALSE, established |-> FALSE, history |-> <<[value |-> 1, zxid |-> [counter |-> 1, epoch |-> 1]]>>, lastCommitted |-> 1, leaderAddr |-> 2, learners |-> {}, packetsSync |-> [committed |-> <<>>, notCommitted |-> <<>>], proposalAcks |-> <<>>, queuedRequests |-> <<>>, serving |-> TRUE, state |-> "Following", syncSent |-> {}, zabState |-> "Broadcast"], [acceptedEpoch |-> 1, ackeRecv |-> {}, ackldRecv |-> {}, committedRequests |-> <<>>, currentEpoch |-> 1, epochProposed |-> FALSE, established |-> FALSE, history |-> <<>>, lastCommitted |-> 0, leaderAddr |-> 2, learners |-> {}, packetsSync |-> [committed |-> <<>>, notCommitted |-> <<>>], proposalAcks |-> <<>>, queuedRequests |-> <<>>, serving |-> FALSE, state |-> "Following", syncSent |-> {}, zabState |-> "Synchronization"], [acceptedEpoch |-> 1, ackeRecv |-> {0, 1}, ackldRecv |-> {0, 1}, committedRequests |-> <<>>, currentEpoch |-> 1, epochProposed |-> TRUE, established |-> TRUE, history |-> <<[value |-> 1, zxid |-> [counter |-> 1, epoch |-> 1]]>>, lastCommitted |-> 1, leaderAddr |-> 2, learners |-> {0, 1}, packetsSync |-> [committed |-> <<>>, notCommitted |-> <<>>], proposalAcks |-> <<>>, queuedRequests |-> <<>>, serving |-> TRUE, state |-> "Leading", syncSent |-> {0, 1}, zabState |-> "Broadcast"]>>, txnBudget = 1, violation = "None"]"#;
