@@ -42,6 +42,14 @@
 //!   set is still fixed, and a scheduling-dependent wall-clock stop can never mask a
 //!   violation stop.
 //!
+//! # Level visitors
+//!
+//! [`check_bfs`] and the refinement checker both run on this engine, each through a
+//! statically dispatched `LevelVisitor`: `tag` labels each successor inside the
+//! lock-free callback, `on_insert` acts on each insert result on the worker, and
+//! `at_barrier` runs on the coordinator after each level.  BFS checks invariants in
+//! `on_insert` and resolves violations at the barrier.
+//!
 //! With `workers = 1` the same code runs inline on the calling thread, with no thread
 //! spawns and no atomics on the hot path beyond the shard counters, so sequential runs
 //! behave exactly like the pre-parallel engine.  Parallel and sequential runs discover
@@ -68,13 +76,10 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::time::Instant;
 
-use remix_spec::{
-    canon_stats, CanonFn, Effect, IncrementalCanon, LabelId, LabelTable, Perm, Spec, SpecState,
-    Trace,
-};
+use remix_spec::{canon_stats, CanonFn, Effect, LabelId, LabelTable, Perm, Spec, SpecState, Trace};
 
 use crate::fingerprint::{fingerprint, Fingerprint};
-use crate::options::{CheckMode, CheckOptions, SymmetryMode};
+use crate::options::{CheckMode, CheckOptions};
 use crate::outcome::{CheckOutcome, CheckStats, StopReason, Violation};
 use crate::por::{self, FootprintTable, SleepSet};
 use crate::spill::IndexQueue;
@@ -187,30 +192,98 @@ struct PendingViolation {
     invariant_name: &'static str,
 }
 
+/// What a caller of the level engine does with each successor, each insert result and
+/// each completed level (see the module docs).
+pub(crate) trait LevelVisitor<S: SpecState>: Sync {
+    /// Per-frontier-entry context.  Spilled levels reload the default, so only
+    /// visitors with a trivial context may run with a frontier budget.
+    type Ctx: Clone + Default + Send + Sync;
+    type Tag: Send;
+    /// What an insert leaves for the level barrier.
+    type Record: Send;
+    /// Coordinator-only state the barrier updates.
+    type Barrier;
+    /// Whether `on_insert` also sees successors that were already known.
+    const SEES_KNOWN: bool;
+
+    /// Tags `succ` (canonical under symmetry), a successor of an entry with context
+    /// `ctx`.  `order` is the entry's position in the level (high 32 bits) and the
+    /// successor's rank (low 32 bits); unique unless the level was spilled.
+    fn tag(&self, ctx: &Self::Ctx, succ: &S, order: u64) -> Self::Tag;
+
+    /// Acts on one insert result of a state at `depth` (0 for the initial states),
+    /// outside the store lock.
+    fn on_insert(
+        &self,
+        insert: Insert<S>,
+        fp: Fingerprint,
+        tag: Self::Tag,
+        depth: u32,
+        next: &mut Vec<(StateIndex, S, Self::Ctx)>,
+        records: &mut Vec<Self::Record>,
+    );
+
+    /// Runs on the coordinator once the level at `depth` is merged; may extend the
+    /// next frontier, and returns a reason to end the run.
+    fn at_barrier(
+        &self,
+        barrier: &mut Self::Barrier,
+        depth: u32,
+        records: Vec<Self::Record>,
+        next: &mut NextFrontier<'_, S, Self::Ctx>,
+    ) -> Option<StopReason>;
+}
+
+/// Run-constant inputs of the level engine.
+pub(crate) struct Levels<'a, S> {
+    pub(crate) spec: &'a Spec<S>,
+    pub(crate) labels: &'a LabelTable,
+    pub(crate) store: &'a StateStore<S>,
+    /// Symmetry reduction: the frontier and the store hold canonical representatives.
+    pub(crate) canon: Option<&'a CanonFn<S>>,
+    pub(crate) stop: &'a StopCell,
+    pub(crate) deadline: Option<Instant>,
+    /// Workers, batch size, depth bound, POR, owner routing and the frontier budget
+    /// (`spill.budget_bytes`); the engine reads nothing else.
+    pub(crate) options: &'a CheckOptions,
+}
+
+/// What a run of the level engine reports besides the visitor's own results.
+pub(crate) struct LevelRun {
+    pub(crate) stop: StopReason,
+    pub(crate) per_worker_transitions: Vec<u64>,
+    pub(crate) pruned: u64,
+    /// Depth of the deepest non-empty level.
+    pub(crate) max_depth: u32,
+}
+
 /// Everything one worker produced while expanding (part of) one level.
-struct WorkerLevelResult<S> {
-    next_frontier: Vec<(StateIndex, S)>,
+struct WorkerLevelResult<S, C, R> {
+    next_frontier: Vec<(StateIndex, S, C)>,
+    records: Vec<R>,
     transitions: u64,
     /// Transitions skipped by sleep-set POR (not counted in `transitions`).
     pruned: u64,
-    violations: Vec<PendingViolation>,
     /// Arrival edges recorded under POR: the sleep set each inserted (fresh *or*
     /// already-known) successor would inherit through this edge.  The coordinator
     /// intersects the contributions per target at the level barrier.
     sleep_edges: Vec<(StateIndex, SleepSet)>,
 }
 
-impl<S> Default for WorkerLevelResult<S> {
+impl<S, C, R> Default for WorkerLevelResult<S, C, R> {
     fn default() -> Self {
         WorkerLevelResult {
             next_frontier: Vec::new(),
+            records: Vec::new(),
             transitions: 0,
             pruned: 0,
-            violations: Vec::new(),
             sleep_edges: Vec::new(),
         }
     }
 }
+
+type WorkerResult<S, V> =
+    WorkerLevelResult<S, <V as LevelVisitor<S>>::Ctx, <V as LevelVisitor<S>>::Record>;
 
 /// Coordination state of the persistent worker pool: generation counter, in-flight
 /// worker count and the shutdown flag, guarded by one mutex with two condvars.
@@ -228,61 +301,40 @@ const PHASE_DRAIN: u8 = 1;
 /// One producer's batch of successors routed to the shard that owns their fingerprint
 /// range.  `(producer, seq)` gives drain a scheduling-independent replay order, so the
 /// owner-routed engine assigns slots deterministically for any worker interleaving.
-struct RoutedBatch<S> {
+struct RoutedBatch<S, T> {
     producer: u32,
     seq: u32,
-    items: Vec<BufferedSuccessor<S>>,
+    items: Vec<BufferedSuccessor<S, T>>,
 }
+
+type Mailbox<S, T> = OrderedMutex<MailboxRank, Vec<RoutedBatch<S, T>>>;
 
 /// Everything shared between the coordinator and the pool workers for a whole run.
 ///
 /// Run-constant fields are plain references; per-level fields (`frontier`, `ranges`,
 /// `child_depth`) are rewritten by the coordinator *between* levels, while every worker
 /// is parked — the generation handshake in `gate` is the synchronisation point.
-struct RunShared<'a, S> {
-    spec: &'a Spec<S>,
-    labels: &'a LabelTable,
-    store: &'a StateStore<S>,
-    /// The active canonicalization function under
-    /// [`SymmetryMode::Canonicalize`] (`None` when symmetry is off or the spec has no
-    /// symmetry group).  When set, the frontier and the store hold canonical
-    /// representatives and violation traces are de-canonicalized on reconstruction.
-    canon: Option<&'a CanonFn<S>>,
-    /// The incremental variant of `canon`, used for successors whose footprint bounds
-    /// the touched servers (`None` when symmetry is off or the spec only provides the
-    /// full recomputation).
-    incr: Option<&'a IncrementalCanon<S>>,
-    /// Sleep-set partial-order reduction is active ([`CheckOptions::por`]).
-    por: bool,
+struct RunShared<'a, S: SpecState, V: LevelVisitor<S>> {
+    cfg: &'a Levels<'a, S>,
+    visitor: &'a V,
     /// Declared footprint per interned label (grown lazily as labels are explored).
     footprints: FootprintTable,
     /// The sleep set of each current-frontier state, index-aligned with the published
     /// frontier.  Rewritten by the coordinator between levels; empty for spilled
     /// levels (their sleeps degrade to ∅, which is always sound).
     frontier_sleeps: OrderedRwLock<FrontierSleepsRank, Vec<SleepSet>>,
-    stop: &'a StopCell,
-    violation_count: &'a AtomicUsize,
-    violation_limit: usize,
-    violation_stop: u8,
-    batch_size: usize,
-    max_states: Option<usize>,
-    deadline: Option<Instant>,
-    frontier: OrderedRwLock<FrontierRank, Vec<(StateIndex, S)>>,
+    frontier: OrderedRwLock<FrontierRank, Vec<(StateIndex, S, V::Ctx)>>,
     ranges: Vec<StealRange>,
     child_depth: AtomicU32,
-    /// Owner-routed sharding (see [`CheckOptions::route_by_owner`]): when set, workers
-    /// deposit successor batches into the owning shard's mailbox during the expand
-    /// phase instead of locking the stripe, and a second drain phase lets each shard's
-    /// owner merge them single-threadedly.
-    route_by_owner: bool,
     /// The phase the pool runs in the next gate cycle ([`PHASE_EXPAND`] or
     /// [`PHASE_DRAIN`]); only the coordinator writes it, between cycles.
     phase: AtomicU8,
-    /// Number of pool workers (drain ownership is `shard % pool_workers == worker`).
-    pool_workers: usize,
-    /// One mailbox per store shard for owner-routed batches.
-    mailboxes: Vec<OrderedMutex<MailboxRank, Vec<RoutedBatch<S>>>>,
-    results: Vec<OrderedMutex<ResultsRank, Option<WorkerLevelResult<S>>>>,
+    /// One mailbox per store shard for owner-routed batches: when
+    /// `route_by_owner` is set, workers deposit successor batches into the owning
+    /// shard's mailbox during the expand phase instead of locking the stripe, and a
+    /// second drain phase lets each shard's owner merge them single-threadedly.
+    mailboxes: Vec<Mailbox<S, V::Tag>>,
+    results: Vec<OrderedMutex<ResultsRank, Option<WorkerResult<S, V>>>>,
     /// The first panic payload caught on a pool worker, re-raised by the coordinator
     /// after the level completes (a dead worker must still decrement `gate.remaining`,
     /// or the coordinator would wait forever — see `pool_worker`).
@@ -292,106 +344,167 @@ struct RunShared<'a, S> {
     work_done: OrderedCondvar,
 }
 
-/// Runs breadth-first model checking of `spec` under `options`.
-pub fn check_bfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckOutcome<S> {
-    let start = Instant::now();
-    let fallbacks_before = canon_stats::tie_cap_fallbacks();
-    let workers = options.workers.max(1);
-    let labels = LabelTable::new();
-    let store: StateStore<S> =
-        StateStore::with_spill(options.store_mode, options.shards, &options.spill);
-    let stop = StopCell::new();
-    let violation_count = AtomicUsize::new(0);
-    let mut violations: Vec<Violation<S>> = Vec::new();
+/// The BFS checker's visitor: invariants on every fresh state, violations resolved at
+/// the level barrier.
+struct BfsVisitor<'a, S> {
+    cfg: &'a Levels<'a, S>,
+    violation_count: AtomicUsize,
+}
 
-    let (violation_limit, violation_stop) = match options.mode {
-        CheckMode::FirstViolation => (1, STOP_FIRST_VIOLATION),
-        CheckMode::Completion { violation_limit } => (violation_limit, STOP_VIOLATION_LIMIT),
-    };
+impl<S: SpecState> LevelVisitor<S> for BfsVisitor<'_, S> {
+    type Ctx = ();
+    type Tag = ();
+    type Record = PendingViolation;
+    type Barrier = Vec<Violation<S>>;
+    const SEES_KNOWN: bool = false;
 
-    // Symmetry reduction is active only when both the options request it and the spec
-    // carries a canonicalization function; otherwise the engine runs untouched.
-    let canon: Option<&CanonFn<S>> = match options.symmetry {
-        SymmetryMode::Canonicalize => spec.symmetry.as_ref(),
-        SymmetryMode::Off => None,
-    };
-    // The incremental path only makes sense when the full canonicalization is active
-    // (it shares the same canonical-representative invariant).
-    let incr: Option<&IncrementalCanon<S>> = canon.and(spec.incremental_symmetry.as_ref());
+    fn tag(&self, _ctx: &(), _succ: &S, _order: u64) {}
 
-    // Seed the store with the initial states (depth 0), checking invariants on each.
-    let mut frontier: Vec<(StateIndex, S)> = Vec::new();
-    let mut pending: Vec<PendingViolation> = Vec::new();
-    for init in &spec.init {
-        let insert = match canon {
-            Some(canon) => {
-                let (canonical, perm) = canon(init);
-                let fp = fingerprint(&canonical);
-                let mut handle = store.lock_shard(store.shard_of(fp));
-                (
-                    handle.insert_canonical(fp, None, LabelTable::init_id(), canonical, perm),
-                    fp,
-                )
-            }
-            None => {
-                let fp = fingerprint(init);
-                let mut handle = store.lock_shard(store.shard_of(fp));
-                (
-                    handle.insert(fp, None, LabelTable::init_id(), init.clone()),
-                    fp,
-                )
-            }
+    fn on_insert(
+        &self,
+        insert: Insert<S>,
+        fp: Fingerprint,
+        _tag: (),
+        depth: u32,
+        next: &mut Vec<(StateIndex, S, ())>,
+        records: &mut Vec<PendingViolation>,
+    ) {
+        let Insert::Fresh(index, state) = insert else {
+            return;
         };
-        let (Insert::Fresh(index, state), fp) = insert else {
-            continue;
-        };
-        let violated = spec.violated_invariants(&state);
+        let (cfg, limit) = (self.cfg, self.cfg.options.max_states);
+        // Only discovered states count towards the state limit's stop.
+        if depth > 0 && limit.is_some_and(|max| cfg.store.len() >= max) {
+            cfg.stop.request(STOP_STATE_LIMIT);
+        }
+        let violated = cfg.spec.violated_invariants(&state);
         if !violated.is_empty() {
-            // ordering: AcqRel — the running total decides whether to request a stop,
-            // so each increment must both publish and observe concurrent increments.
-            let total =
-                violation_count.fetch_add(violated.len(), Ordering::AcqRel) + violated.len();
+            let total = self
+                .violation_count
+                // ordering: AcqRel — the running total decides the stop request
+                // below, so each increment must observe and publish its peers.
+                .fetch_add(violated.len(), Ordering::AcqRel)
+                + violated.len();
             for inv in violated {
-                pending.push(PendingViolation {
+                records.push(PendingViolation {
                     index,
                     fp,
-                    depth: 0,
+                    depth,
                     invariant: inv.id,
                     invariant_name: inv.name,
                 });
             }
-            if total >= violation_limit {
-                stop.request(violation_stop);
+            let (limit, stop) = match cfg.options.mode {
+                CheckMode::FirstViolation => (1, STOP_FIRST_VIOLATION),
+                CheckMode::Completion { violation_limit } => {
+                    (violation_limit, STOP_VIOLATION_LIMIT)
+                }
+            };
+            if total >= limit {
+                cfg.stop.request(stop);
             }
         }
-        frontier.push((index, state));
+        next.push((index, state, ()));
     }
 
-    let shared = RunShared {
+    /// Turns the level's pending violations into [`Violation`]s with reconstructed
+    /// traces, keeping only the first recorded violation of each invariant.
+    fn at_barrier(
+        &self,
+        violations: &mut Vec<Violation<S>>,
+        _depth: u32,
+        mut pending: Vec<PendingViolation>,
+        _next: &mut NextFrontier<'_, S, ()>,
+    ) -> Option<StopReason> {
+        // Sort so the representative chosen for each invariant does not depend on
+        // worker scheduling: lowest depth first, ties broken by fingerprint.
+        pending.sort_by_key(|p| (p.depth, p.invariant, p.fp));
+        let cfg = self.cfg;
+        for p in pending {
+            if violations.iter().any(|v| v.invariant == p.invariant) {
+                continue;
+            }
+            // A symmetry-reduced chain is replayed back into the original id frame.
+            let trace = if cfg.options.collect_traces {
+                cfg.store.trace_to(cfg.spec, cfg.labels, p.index, cfg.canon)
+            } else {
+                Trace::default()
+            };
+            violations.push(Violation {
+                invariant: p.invariant,
+                invariant_name: p.invariant_name,
+                depth: p.depth,
+                trace,
+            });
+        }
+        None
+    }
+}
+
+/// Runs breadth-first model checking of `spec` under `options`.
+pub fn check_bfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckOutcome<S> {
+    let start = Instant::now();
+    let fallbacks_before = canon_stats::tie_cap_fallbacks();
+    let labels = LabelTable::new();
+    let store: StateStore<S> =
+        StateStore::with_spill(options.store_mode, options.shards, &options.spill);
+    let cfg = Levels {
         spec,
         labels: &labels,
         store: &store,
-        canon,
-        incr,
-        por: options.por,
+        canon: options.symmetry.canon(spec),
+        stop: &StopCell::new(),
+        deadline: options.time_budget.map(|b| start + b),
+        options,
+    };
+    let visitor = BfsVisitor {
+        cfg: &cfg,
+        violation_count: AtomicUsize::new(0),
+    };
+    let mut violations: Vec<Violation<S>> = Vec::new();
+    let run = run_levels(&cfg, &visitor, &mut violations);
+    let stats = CheckStats {
+        distinct_states: store.len(),
+        transitions: run.per_worker_transitions.iter().sum(),
+        max_depth: run.max_depth,
+        elapsed: start.elapsed(),
+        per_worker_transitions: run.per_worker_transitions,
+        shard_contention: store.contention_counters(),
+        peak_entry_bytes: store.entry_bytes(),
+        entry_bytes_per_state: store.entry_bytes_per_state(),
+        spill: store.spill_stats(),
+        pruned_transitions: run.pruned,
+        canon_fallbacks: canon_stats::tie_cap_fallbacks().saturating_sub(fallbacks_before),
+    };
+    CheckOutcome {
+        spec_name: spec.name.clone(),
+        stats,
+        stop_reason: run.stop,
+        violations,
+        // ordering: Acquire — the final total, read after every worker joined.
+        violation_count: visitor.violation_count.load(Ordering::Acquire),
+    }
+}
+
+/// Runs the level engine from the initial states of `cfg.spec` until the frontier
+/// empties or a stop condition ends the run.
+pub(crate) fn run_levels<S: SpecState, V: LevelVisitor<S>>(
+    cfg: &Levels<'_, S>,
+    visitor: &V,
+    barrier: &mut V::Barrier,
+) -> LevelRun {
+    let workers = cfg.options.workers.max(1);
+    let shards = cfg.store.shard_count();
+    let shared = RunShared {
+        cfg,
+        visitor,
         footprints: FootprintTable::new(),
         frontier_sleeps: OrderedRwLock::new(Vec::new()),
-        stop: &stop,
-        violation_count: &violation_count,
-        violation_limit,
-        violation_stop,
-        batch_size: options.batch_size.max(1),
-        max_states: options.max_states,
-        deadline: options.time_budget.map(|b| start + b),
         frontier: OrderedRwLock::new(Vec::new()),
         ranges: (0..workers).map(|_| StealRange::new(0, 0)).collect(),
         child_depth: AtomicU32::new(1),
-        route_by_owner: options.route_by_owner,
         phase: AtomicU8::new(PHASE_EXPAND),
-        pool_workers: workers,
-        mailboxes: (0..store.shard_count())
-            .map(|_| OrderedMutex::new(Vec::new()))
-            .collect(),
+        mailboxes: (0..shards).map(|_| OrderedMutex::new(Vec::new())).collect(),
         results: (0..workers).map(|_| OrderedMutex::new(None)).collect(),
         worker_panic: OrderedMutex::new(None),
         gate: OrderedMutex::new(Gate {
@@ -402,72 +515,27 @@ pub fn check_bfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
         work_ready: OrderedCondvar::new(),
         work_done: OrderedCondvar::new(),
     };
-
-    resolve_violations(&shared, options, pending, &mut violations);
-    if let Some(reason) = stop.stop_reason() {
-        let stats = stats_from(&store, &vec![0u64; workers], 0, start, 0, fallbacks_before);
-        return CheckOutcome {
-            spec_name: spec.name.clone(),
-            stats,
-            stop_reason: reason,
-            violations,
-            // ordering: Acquire — pairs with the AcqRel counter updates; reads the
-            // final total after all inserts above.
-            violation_count: violation_count.load(Ordering::Acquire),
-        };
-    }
-
-    let mut per_worker_transitions = vec![0u64; workers];
-    let mut pruned_transitions: u64 = 0;
-    let mut max_depth_reached: u32 = 0;
-    let mut stop_reason = StopReason::Exhausted;
-
-    let run = |pool: bool| {
-        level_loop(
-            &shared,
-            options,
-            start,
-            frontier,
-            pool,
-            &mut per_worker_transitions,
-            &mut pruned_transitions,
-            &mut max_depth_reached,
-            &mut violations,
-        )
+    let mut run = LevelRun {
+        stop: StopReason::Exhausted,
+        per_worker_transitions: vec![0; workers],
+        pruned: 0,
+        max_depth: 0,
     };
-    if workers == 1 {
-        stop_reason = run(false);
-    } else {
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let shared = &shared;
-                scope.spawn(move || pool_worker(shared, w));
-            }
-            stop_reason = run(true);
-            // Unpark everyone one last time so the scope can join.
-            let mut gate = shared.gate.lock();
-            gate.shutdown = true;
-            drop(gate);
-            shared.work_ready.notify_all();
-        });
-    }
-
-    let stats = stats_from(
-        &store,
-        &per_worker_transitions,
-        max_depth_reached,
-        start,
-        pruned_transitions,
-        fallbacks_before,
-    );
-    CheckOutcome {
-        spec_name: spec.name.clone(),
-        stats,
-        stop_reason,
-        violations,
-        // ordering: Acquire — the final total, read after every worker joined.
-        violation_count: violation_count.load(Ordering::Acquire),
-    }
+    // One worker expands inline on the calling thread; more run as a pool.
+    let pool = workers > 1;
+    std::thread::scope(|scope| {
+        for w in (0..workers).filter(|_| pool) {
+            let shared = &shared;
+            scope.spawn(move || pool_worker(shared, w));
+        }
+        run.stop = level_loop(&shared, pool, barrier, &mut run);
+        // Unpark everyone one last time so the scope can join.
+        let mut gate = shared.gate.lock();
+        gate.shutdown = true;
+        drop(gate);
+        shared.work_ready.notify_all();
+    });
+    run
 }
 
 /// Frontier levels smaller than this are never spilled, whatever the memory budget:
@@ -480,12 +548,12 @@ const MIN_FRONTIER_CHUNK: usize = 256;
 /// from the full-state arena chunk by chunk, which is why frontier spilling requires
 /// [`StoreMode::Full`] — in fingerprint-only mode the frontier is the *sole* holder of
 /// the live states and dropping them would lose the level.
-enum LevelFrontier<S> {
-    Ram(Vec<(StateIndex, S)>),
+enum LevelFrontier<S, C> {
+    Ram(Vec<(StateIndex, S, C)>),
     Disk(IndexQueue),
 }
 
-impl<S> LevelFrontier<S> {
+impl<S, C> LevelFrontier<S, C> {
     fn len(&self) -> usize {
         match self {
             LevelFrontier::Ram(v) => v.len(),
@@ -496,8 +564,8 @@ impl<S> LevelFrontier<S> {
 
 /// Accumulates the next BFS level across the chunks of the current one, spilling index
 /// runs to disk whenever the resident tail outgrows the memory budget.
-struct NextFrontier<'a, S> {
-    ram: Vec<(StateIndex, S)>,
+pub(crate) struct NextFrontier<'a, S, C> {
+    ram: Vec<(StateIndex, S, C)>,
     disk: Option<IndexQueue>,
     /// `(chunk_size, spill_dir)`; `None` disables frontier spilling entirely.
     spill: Option<(usize, &'a Path)>,
@@ -505,7 +573,7 @@ struct NextFrontier<'a, S> {
     store: &'a StateStore<S>,
 }
 
-impl<'a, S: SpecState> NextFrontier<'a, S> {
+impl<'a, S: SpecState, C> NextFrontier<'a, S, C> {
     fn new(spill: Option<(usize, &'a Path)>, child_depth: u32, store: &'a StateStore<S>) -> Self {
         NextFrontier {
             ram: Vec::new(),
@@ -516,7 +584,7 @@ impl<'a, S: SpecState> NextFrontier<'a, S> {
         }
     }
 
-    fn extend(&mut self, items: Vec<(StateIndex, S)>) {
+    pub(crate) fn extend(&mut self, items: Vec<(StateIndex, S, C)>) {
         self.ram.extend(items);
         if let Some((threshold, dir)) = self.spill {
             if self.ram.len() > threshold {
@@ -536,20 +604,20 @@ impl<'a, S: SpecState> NextFrontier<'a, S> {
                     .insert(IndexQueue::create(&path).expect("creating a frontier spill queue"))
             }
         };
-        let indices: Vec<u32> = self.ram.drain(..).map(|(index, _)| index.0).collect();
+        let indices: Vec<u32> = self.ram.drain(..).map(|(index, ..)| index.0).collect();
         queue
             .push(&indices)
             .expect("appending to a frontier spill queue");
         self.store.note_frontier_spilled(indices.len() as u64);
     }
 
-    fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ram.is_empty() && self.disk.as_ref().is_none_or(|q| q.remaining() == 0)
     }
 
     /// Finalizes the level: fully resident, or fully on disk once any part spilled (a
     /// mixed level would expand its two halves in a scheduling-dependent order).
-    fn into_frontier(mut self) -> LevelFrontier<S> {
+    fn into_frontier(mut self) -> LevelFrontier<S, C> {
         match self.disk.take() {
             Some(queue) => {
                 self.disk = Some(queue);
@@ -565,60 +633,81 @@ impl<'a, S: SpecState> NextFrontier<'a, S> {
 }
 
 /// The level-synchronous main loop, shared by the inline (1-worker) and pooled paths.
-#[allow(clippy::too_many_arguments)]
-fn level_loop<S: SpecState>(
-    shared: &RunShared<'_, S>,
-    options: &CheckOptions,
-    start: Instant,
-    frontier: Vec<(StateIndex, S)>,
+fn level_loop<S: SpecState, V: LevelVisitor<S>>(
+    shared: &RunShared<'_, S, V>,
     pool: bool,
-    per_worker_transitions: &mut [u64],
-    pruned_transitions: &mut u64,
-    max_depth_reached: &mut u32,
-    violations: &mut Vec<Violation<S>>,
+    barrier: &mut V::Barrier,
+    run: &mut LevelRun,
 ) -> StopReason {
+    let cfg = &shared.cfg;
     // Frontier spilling is active only with a memory budget AND the full-state store
     // (see `LevelFrontier`).  The chunk size is how many frontier entries the budget
     // buys; states round-trip through disk only when a level outgrows it.
     let frontier_spill: Option<(usize, &Path)> = match (
-        shared.store.spill_dir(),
-        options.spill.budget_bytes,
-        shared.store.mode(),
+        cfg.store.spill_dir(),
+        cfg.options.spill.budget_bytes,
+        cfg.store.mode(),
     ) {
         (Some(dir), Some(budget), StoreMode::Full) => {
-            let entry = std::mem::size_of::<(StateIndex, S)>().max(1);
+            let entry = std::mem::size_of::<(StateIndex, S, V::Ctx)>().max(1);
             Some(((budget as usize / entry).max(MIN_FRONTIER_CHUNK), dir))
         }
         _ => None,
     };
 
-    let mut frontier = LevelFrontier::Ram(frontier);
+    // The initial states are level 0: inserted, handed to the visitor and merged at a
+    // barrier like every later level.
+    let mut next = NextFrontier::new(frontier_spill, 0, cfg.store);
+    let (mut seeds, mut records) = (Vec::new(), Vec::new());
+    for (order, (index, fp, state)) in cfg.store.seed(cfg.spec, cfg.canon).into_iter().enumerate() {
+        let tag = shared.visitor.tag(&V::Ctx::default(), &state, order as u64);
+        let insert = Insert::Fresh(index, state);
+        shared
+            .visitor
+            .on_insert(insert, fp, tag, 0, &mut seeds, &mut records);
+    }
+    next.extend(seeds);
+    let mut sleep_edges: Vec<(StateIndex, SleepSet)> = Vec::new();
     let mut level_depth: u32 = 0;
-    while frontier.len() > 0 {
-        // Check resource budgets between levels (workers also check them within a level).
-        if let Some(budget) = options.time_budget {
-            if start.elapsed() >= budget {
-                return StopReason::TimeBudget;
-            }
+    loop {
+        let visitor_stop = shared.visitor.at_barrier(
+            barrier,
+            level_depth,
+            std::mem::take(&mut records),
+            &mut next,
+        );
+        if !next.is_empty() {
+            run.max_depth = run.max_depth.max(level_depth);
         }
-        if let Some(max_depth) = options.max_depth {
-            if level_depth >= max_depth {
-                return StopReason::DepthBound;
-            }
+        if let Some(reason) = cfg.stop.stop_reason().or(visitor_stop) {
+            return reason;
+        }
+        let mut frontier = next.into_frontier();
+        if cfg.options.por {
+            publish_frontier_sleeps(shared, std::mem::take(&mut sleep_edges), &frontier);
+        }
+        if frontier.len() == 0 {
+            return StopReason::Exhausted;
+        }
+        // Check resource budgets between levels (workers also check them within a level).
+        if cfg.deadline.is_some_and(|at| Instant::now() >= at) {
+            return StopReason::TimeBudget;
+        }
+        if cfg.options.max_depth.is_some_and(|max| level_depth >= max) {
+            return StopReason::DepthBound;
         }
 
+        level_depth += 1;
         // ordering: Release — pairs with the workers' Acquire loads; the gate
         // handshake already orders the level publication, this keeps the field
         // self-consistent even read in isolation.
-        shared.child_depth.store(level_depth + 1, Ordering::Release);
-        let mut next = NextFrontier::new(frontier_spill, level_depth + 1, shared.store);
-        let mut pending: Vec<PendingViolation> = Vec::new();
-        let mut sleep_edges: Vec<(StateIndex, SleepSet)> = Vec::new();
+        shared.child_depth.store(level_depth, Ordering::Release);
+        next = NextFrontier::new(frontier_spill, level_depth, cfg.store);
 
         // A resident level is one chunk; a spilled level streams back in budget-sized
         // chunks, each expanded exactly like a whole level used to be.
         loop {
-            let chunk: Vec<(StateIndex, S)> = match &mut frontier {
+            let chunk: Vec<(StateIndex, S, V::Ctx)> = match &mut frontier {
                 LevelFrontier::Ram(v) => std::mem::take(v),
                 LevelFrontier::Disk(queue) => {
                     let max = frontier_spill
@@ -630,11 +719,11 @@ fn level_loop<S: SpecState>(
                         .into_iter()
                         .map(|raw| {
                             let index = StateIndex(raw);
-                            let state = shared
+                            let state = cfg
                                 .store
                                 .with_state(index, S::clone)
                                 .expect("spilled frontiers require the full-state store");
-                            (index, state)
+                            (index, state, V::Ctx::default())
                         })
                         .collect()
                 }
@@ -646,33 +735,18 @@ fn level_loop<S: SpecState>(
                 shared,
                 chunk,
                 pool,
-                per_worker_transitions,
-                pruned_transitions,
+                run,
                 &mut next,
-                &mut pending,
+                &mut records,
                 &mut sleep_edges,
             );
             // Mid-level stops abort the remaining chunks, exactly as expansion of a
             // resident level aborts its remaining claims.
-            if shared.stop.requested() || matches!(frontier, LevelFrontier::Ram(_)) {
+            if cfg.stop.requested() || matches!(frontier, LevelFrontier::Ram(_)) {
                 break;
             }
         }
-
-        resolve_violations(shared, options, pending, violations);
-        if !next.is_empty() {
-            *max_depth_reached = (*max_depth_reached).max(level_depth + 1);
-        }
-        if let Some(reason) = shared.stop.stop_reason() {
-            return reason;
-        }
-        frontier = next.into_frontier();
-        if shared.por {
-            publish_frontier_sleeps(shared, sleep_edges, &frontier);
-        }
-        level_depth += 1;
     }
-    StopReason::Exhausted
 }
 
 /// Builds the next level's sleep sets from the arrival edges recorded during the level
@@ -683,10 +757,10 @@ fn level_loop<S: SpecState>(
 /// of worker scheduling).  Edges to states of older levels (re-visits at greater depth)
 /// have no aligned frontier slot and are dropped; spilled levels get no sleep sets at
 /// all — both degrade the reduction, never its soundness.
-fn publish_frontier_sleeps<S>(
-    shared: &RunShared<'_, S>,
+fn publish_frontier_sleeps<S: SpecState, V: LevelVisitor<S>>(
+    shared: &RunShared<'_, S, V>,
     sleep_edges: Vec<(StateIndex, SleepSet)>,
-    frontier: &LevelFrontier<S>,
+    frontier: &LevelFrontier<S, V::Ctx>,
 ) {
     let mut by_index: HashMap<u32, SleepSet> = HashMap::with_capacity(sleep_edges.len());
     for (index, sleep) in sleep_edges {
@@ -700,7 +774,7 @@ fn publish_frontier_sleeps<S>(
     let aligned: Vec<SleepSet> = match frontier {
         LevelFrontier::Ram(v) => v
             .iter()
-            .map(|(index, _)| by_index.remove(&index.0).unwrap_or_default())
+            .map(|(index, ..)| by_index.remove(&index.0).unwrap_or_default())
             .collect(),
         LevelFrontier::Disk(_) => Vec::new(),
     };
@@ -711,24 +785,22 @@ fn publish_frontier_sleeps<S>(
 /// results into the accumulators.  Under owner routing each chunk runs as two phases:
 /// expand (deposit successors into shard mailboxes) then drain (each shard's owner
 /// merges its mailbox).
-#[allow(clippy::too_many_arguments)]
-fn expand_level_chunk<S: SpecState>(
-    shared: &RunShared<'_, S>,
-    chunk: Vec<(StateIndex, S)>,
+fn expand_level_chunk<S: SpecState, V: LevelVisitor<S>>(
+    shared: &RunShared<'_, S, V>,
+    chunk: Vec<(StateIndex, S, V::Ctx)>,
     pool: bool,
-    per_worker_transitions: &mut [u64],
-    pruned_transitions: &mut u64,
-    next: &mut NextFrontier<'_, S>,
-    pending: &mut Vec<PendingViolation>,
+    run: &mut LevelRun,
+    next: &mut NextFrontier<'_, S, V::Ctx>,
+    records: &mut Vec<V::Record>,
     sleep_edges: &mut Vec<(StateIndex, SleepSet)>,
 ) {
-    let workers = per_worker_transitions.len();
-    let mut merge = |results: Vec<WorkerLevelResult<S>>| {
+    let workers = run.per_worker_transitions.len();
+    let mut merge = |results: Vec<WorkerResult<S, V>>| {
         for (w, result) in results.into_iter().enumerate() {
-            per_worker_transitions[w] += result.transitions;
-            *pruned_transitions += result.pruned;
+            run.per_worker_transitions[w] += result.transitions;
+            run.pruned += result.pruned;
             next.extend(result.next_frontier);
-            pending.extend(result.violations);
+            records.extend(result.records);
             sleep_edges.extend(result.sleep_edges);
         }
     };
@@ -749,39 +821,34 @@ fn expand_level_chunk<S: SpecState>(
         // Release pairs with their Acquire load so a cycle never runs a stale phase.
         shared.phase.store(PHASE_EXPAND, Ordering::Release);
         merge(run_pool_cycle(shared, workers));
-        if shared.route_by_owner {
-            if shared.stop.requested() {
-                // The level is being aborted: deposited batches are discarded just as
-                // the unrouted engine drops unflushed worker buffers on a stop.
-                clear_mailboxes(shared);
-            } else {
-                // ordering: Release — see the PHASE_EXPAND store above.
-                shared.phase.store(PHASE_DRAIN, Ordering::Release);
-                merge(run_pool_cycle(shared, workers));
-            }
-        }
     } else {
         shared.ranges[0].reset(0, chunk.len());
         for range in &shared.ranges[1..] {
             range.reset(0, 0);
         }
         merge(vec![expand_range(shared, &chunk, 0)]);
-        if shared.route_by_owner {
-            if shared.stop.requested() {
-                clear_mailboxes(shared);
-            } else {
-                merge(vec![drain_mailboxes(shared, 0, 1)]);
-            }
+    }
+    if shared.cfg.options.route_by_owner {
+        if shared.cfg.stop.requested() {
+            // The level is being aborted: deposited batches are discarded just as
+            // the unrouted engine drops unflushed worker buffers on a stop.
+            clear_mailboxes(shared);
+        } else if use_pool {
+            // ordering: Release — see the PHASE_EXPAND store above.
+            shared.phase.store(PHASE_DRAIN, Ordering::Release);
+            merge(run_pool_cycle(shared, workers));
+        } else {
+            merge(vec![drain_mailboxes(shared, 0, 1)]);
         }
     }
 }
 
 /// Runs one gate cycle of the persistent pool (all workers execute the current phase)
 /// and collects the published per-worker results.
-fn run_pool_cycle<S: SpecState>(
-    shared: &RunShared<'_, S>,
+fn run_pool_cycle<S: SpecState, V: LevelVisitor<S>>(
+    shared: &RunShared<'_, S, V>,
     workers: usize,
-) -> Vec<WorkerLevelResult<S>> {
+) -> Vec<WorkerResult<S, V>> {
     // Wake the pool and wait for every worker to finish the cycle.
     {
         let mut gate = shared.gate.lock();
@@ -814,7 +881,7 @@ fn run_pool_cycle<S: SpecState>(
     results
 }
 
-fn clear_mailboxes<S>(shared: &RunShared<'_, S>) {
+fn clear_mailboxes<S: SpecState, V: LevelVisitor<S>>(shared: &RunShared<'_, S, V>) {
     for mailbox in &shared.mailboxes {
         mailbox.lock().clear();
     }
@@ -822,7 +889,7 @@ fn clear_mailboxes<S>(shared: &RunShared<'_, S>) {
 
 /// The body of one pool worker: park until the coordinator publishes a level (or shuts
 /// the run down), expand it, publish the result, repeat.
-fn pool_worker<S: SpecState>(shared: &RunShared<'_, S>, worker: usize) {
+fn pool_worker<S: SpecState, V: LevelVisitor<S>>(shared: &RunShared<'_, S, V>, worker: usize) {
     let mut last_generation = 0u64;
     loop {
         {
@@ -845,7 +912,7 @@ fn pool_worker<S: SpecState>(shared: &RunShared<'_, S>, worker: usize) {
             // ordering: Acquire — pairs with the coordinator's Release store; the
             // phase decides which cycle body runs, so it must not be stale.
             if shared.phase.load(Ordering::Acquire) == PHASE_DRAIN {
-                drain_mailboxes(shared, worker, shared.pool_workers)
+                drain_mailboxes(shared, worker, shared.ranges.len())
             } else {
                 let frontier = shared.frontier.read();
                 expand_range(shared, &frontier, worker)
@@ -853,7 +920,7 @@ fn pool_worker<S: SpecState>(shared: &RunShared<'_, S>, worker: usize) {
         }))
         .unwrap_or_else(|payload| {
             shared.worker_panic.lock().get_or_insert(payload);
-            shared.stop.request(STOP_TIME_BUDGET);
+            shared.cfg.stop.request(STOP_TIME_BUDGET);
             WorkerLevelResult::default()
         });
         *shared.results[worker].lock() = Some(result);
@@ -867,7 +934,7 @@ fn pool_worker<S: SpecState>(shared: &RunShared<'_, S>, worker: usize) {
 
 /// One buffered successor awaiting its batch merge: 24 bytes of metadata plus the state
 /// (the canonical representative, with the applied permutation, under symmetry).
-struct BufferedSuccessor<S> {
+struct BufferedSuccessor<S, T> {
     fp: Fingerprint,
     parent: StateIndex,
     label: LabelId,
@@ -875,27 +942,25 @@ struct BufferedSuccessor<S> {
     perm: Option<Perm>,
     /// The sleep set this edge hands down to its target (empty when POR is off).
     sleep: SleepSet,
+    tag: T,
 }
 
 /// The worker loop: claims frontier indices (own range first, then stolen halves),
 /// expands each state, and buffers successors per shard, flushing in batches.
-fn expand_range<S: SpecState>(
-    shared: &RunShared<'_, S>,
-    frontier: &[(StateIndex, S)],
+fn expand_range<S: SpecState, V: LevelVisitor<S>>(
+    shared: &RunShared<'_, S, V>,
+    frontier: &[(StateIndex, S, V::Ctx)],
     worker: usize,
-) -> WorkerLevelResult<S> {
+) -> WorkerResult<S, V> {
     let mut result = WorkerLevelResult::default();
-    let shard_count = shared.store.shard_count();
-    let mut buffers: Vec<Vec<BufferedSuccessor<S>>> =
+    let cfg = &shared.cfg;
+    // Run-constant knobs, read once rather than through two references per successor.
+    let (por, routed) = (cfg.options.por, cfg.options.route_by_owner);
+    let batch_size = cfg.options.batch_size.max(1);
+    let shard_count = cfg.store.shard_count();
+    let mut buffers: Vec<Vec<BufferedSuccessor<S, V::Tag>>> =
         (0..shard_count).map(|_| Vec::new()).collect();
-    let mut seqs: Vec<u32> = vec![
-        0;
-        if shared.route_by_owner {
-            shard_count
-        } else {
-            0
-        }
-    ];
+    let mut seqs: Vec<u32> = vec![0; if routed { shard_count } else { 0 }];
     let mut stolen: Option<StealRange> = None;
     let mut processed: u64 = 0;
     // ordering: Acquire — pairs with the coordinator's Release store between levels.
@@ -903,10 +968,10 @@ fn expand_range<S: SpecState>(
     // Index-aligned sleep sets of the published frontier (empty map when POR is off or
     // the level was spilled).  Workers hold the read lock for the whole cycle; the
     // coordinator only writes between cycles, while every worker is parked.
-    let frontier_sleeps = shared.por.then(|| shared.frontier_sleeps.read());
+    let frontier_sleeps = por.then(|| shared.frontier_sleeps.read());
 
     'claim: loop {
-        if shared.stop.requested() {
+        if cfg.stop.requested() {
             break;
         }
         // Claim from the stolen range first (it was taken to be worked on), then from the
@@ -941,7 +1006,7 @@ fn expand_range<S: SpecState>(
             }
         };
 
-        let (parent_index, state) = &frontier[idx];
+        let (parent_index, state, ctx) = &frontier[idx];
         // POR bookkeeping for this parent: the labels it must not re-explore (sorted),
         // their footprints (resolved once, outside the hot closure), and the explored
         // earlier siblings accumulated as enumeration proceeds.
@@ -963,10 +1028,10 @@ fn expand_range<S: SpecState>(
         // lock-free (the concurrency lint's no-lock-in-callback rule, which keeps spec
         // enumeration code unable to deadlock against engine locks).
         let mut fresh_effects: Vec<(LabelId, Effect)> = Vec::new();
-        shared
-            .spec
-            .for_each_successor(state, shared.labels, |label, next, effect| {
-                if shared.por && sleep_in.binary_search(&label).is_ok() {
+        let mut rank: u64 = 0;
+        cfg.spec
+            .for_each_successor(state, cfg.labels, |label, next, effect| {
+                if por && sleep_in.binary_search(&label).is_ok() {
                     // Already covered through a sibling interleaving of an earlier
                     // edge: skip before canonicalization and fingerprinting.
                     result.pruned += 1;
@@ -974,7 +1039,7 @@ fn expand_range<S: SpecState>(
                 }
                 result.transitions += 1;
                 let mut sleep = SleepSet::new();
-                if shared.por {
+                if por {
                     if let Some(e) = effect {
                         fresh_effects.push((label, e));
                     }
@@ -986,51 +1051,25 @@ fn expand_range<S: SpecState>(
                 // Under symmetry the successor is replaced by the canonical
                 // representative of its orbit before fingerprinting, so the whole
                 // orbit dedups to one store entry; the applied permutation rides
-                // along for later trace de-canonicalization.  When the successor's
-                // footprint bounds the touched servers, the incremental path reuses
-                // the parent's sort keys instead of recomputing all of them.
-                let (next, perm) = match (shared.canon, shared.incr) {
-                    (Some(_canon), Some(incr)) if effect.is_some_and(|e| !e.is_global()) => {
-                        let touched = effect.expect("guarded above").touched_servers();
-                        let parent_memo = memo.get_or_insert_with(|| (incr.memo)(state));
-                        #[cfg(debug_assertions)]
-                        let oracle = next.clone();
-                        let (canonical, perm) = (incr.canon)(next, &**parent_memo, touched);
-                        #[cfg(debug_assertions)]
-                        debug_assert_eq!(
-                            canonical,
-                            _canon(&oracle).0,
-                            "incremental canonicalization diverged from the full \
-                             recomputation (label {label:?})"
-                        );
-                        (canonical, Some(perm))
-                    }
-                    (Some(_canon), Some(incr)) => {
-                        // No usable footprint, but the owned full path still skips the
-                        // deep rewrite when the canonical permutation is the identity.
-                        let (canonical, perm) = (incr.full_owned)(next);
-                        (canonical, Some(perm))
-                    }
-                    (Some(canon), None) => {
-                        let (canonical, perm) = canon(&next);
-                        (canonical, Some(perm))
-                    }
-                    (None, _) => (next, None),
-                };
+                // along for later trace de-canonicalization.
+                let (next, perm) =
+                    canonical_successor(cfg.spec, cfg.canon, state, &mut memo, next, effect, label);
                 // Sleep-set labels live in the parent's id frame; a relabelling edge
                 // invalidates them, so the child starts awake (always sound).
                 if perm.as_ref().is_some_and(|p| !p.is_identity()) {
                     sleep.clear();
                 }
+                let tag = shared.visitor.tag(ctx, &next, ((idx as u64) << 32) | rank);
+                rank += 1;
                 let fp = fingerprint(&next);
-                let shard = shared.store.shard_of(fp);
-                buffers[shard].push(BufferedSuccessor {
+                buffers[cfg.store.shard_of(fp)].push(BufferedSuccessor {
                     fp,
                     parent: *parent_index,
                     label,
                     state: next,
                     perm,
                     sleep,
+                    tag,
                 });
             });
         for (label, effect) in fresh_effects.drain(..) {
@@ -1041,8 +1080,8 @@ fn expand_range<S: SpecState>(
         // successor count, and the merged outcome is unchanged (flush order within
         // a worker was already a function of claim order alone).
         for shard in 0..shard_count {
-            if buffers[shard].len() >= shared.batch_size {
-                if shared.route_by_owner {
+            if buffers[shard].len() >= batch_size {
+                if routed {
                     deposit(shared, shard, worker, &mut seqs[shard], &mut buffers[shard]);
                 } else {
                     flush_shard(shared, shard, &mut buffers[shard], child_depth, &mut result);
@@ -1052,9 +1091,9 @@ fn expand_range<S: SpecState>(
 
         processed += 1;
         if processed.is_multiple_of(64) {
-            if let Some(deadline) = shared.deadline {
+            if let Some(deadline) = cfg.deadline {
                 if Instant::now() >= deadline {
-                    shared.stop.request(STOP_TIME_BUDGET);
+                    cfg.stop.request(STOP_TIME_BUDGET);
                 }
             }
         }
@@ -1064,10 +1103,10 @@ fn expand_range<S: SpecState>(
     // requested, in which case exploration is being aborted anyway and merging the
     // leftovers would only push `distinct_states` further past the stop condition (the
     // pre-parallel engine likewise broke out without expanding the rest of the level).
-    if !shared.stop.requested() {
+    if !cfg.stop.requested() {
         for (shard, buffer) in buffers.iter_mut().enumerate() {
             if !buffer.is_empty() {
-                if shared.route_by_owner {
+                if routed {
                     deposit(shared, shard, worker, &mut seqs[shard], buffer);
                 } else {
                     flush_shard(shared, shard, buffer, child_depth, &mut result);
@@ -1078,14 +1117,55 @@ fn expand_range<S: SpecState>(
     result
 }
 
+/// Canonicalizes one successor of the (canonical) `parent` under symmetry reduction:
+/// `(next, None)` when `canon` is off.  When `spec` provides an incremental
+/// canonicalization and the successor's footprint bounds the touched servers, the
+/// parent's sort keys (memoized in `memo`, built on first use) are reused instead of
+/// recomputed; debug builds check every incremental result against the full
+/// recomputation.
+pub(crate) fn canonical_successor<S: SpecState>(
+    spec: &Spec<S>,
+    canon: Option<&CanonFn<S>>,
+    parent: &S,
+    memo: &mut Option<Box<dyn std::any::Any + Send + Sync>>,
+    next: S,
+    effect: Option<Effect>,
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))] label: LabelId,
+) -> (S, Option<Perm>) {
+    let Some(canon) = canon else {
+        return (next, None);
+    };
+    let incr = spec.incremental_symmetry.as_ref();
+    let (canonical, perm) = match (incr, effect.filter(|e| !e.is_global())) {
+        (Some(incr), Some(effect)) => {
+            let parent_memo = memo.get_or_insert_with(|| (incr.memo)(parent));
+            #[cfg(debug_assertions)]
+            let oracle = canon(&next).0;
+            let (canonical, perm) = (incr.canon)(next, &**parent_memo, effect.touched_servers());
+            #[cfg(debug_assertions)]
+            debug_assert_eq!(
+                canonical, oracle,
+                "incremental canonicalization diverged from the full recomputation \
+                 (label {label:?})"
+            );
+            (canonical, perm)
+        }
+        // No usable footprint, but the owned full path still skips the deep rewrite
+        // when the canonical permutation is the identity.
+        (Some(incr), None) => (incr.full_owned)(next),
+        (None, _) => canon(&next),
+    };
+    (canonical, Some(perm))
+}
+
 /// Routes one successor batch to its owning shard's mailbox (owner-routed mode), tagging
 /// it with `(producer, seq)` so the drain phase can replay batches deterministically.
-fn deposit<S>(
-    shared: &RunShared<'_, S>,
+fn deposit<S: SpecState, V: LevelVisitor<S>>(
+    shared: &RunShared<'_, S, V>,
     shard: usize,
     worker: usize,
     seq: &mut u32,
-    buffer: &mut Vec<BufferedSuccessor<S>>,
+    buffer: &mut Vec<BufferedSuccessor<S, V::Tag>>,
 ) {
     let items = std::mem::take(buffer);
     shared.mailboxes[shard].lock().push(RoutedBatch {
@@ -1102,11 +1182,11 @@ fn deposit<S>(
 /// stripe are single-threaded — the lock in `flush_shard` is uncontended by design.
 /// `drainers` is the number of workers participating in *this* drain cycle: the pool
 /// size on the pooled path, 1 when a small chunk drains inline.
-fn drain_mailboxes<S: SpecState>(
-    shared: &RunShared<'_, S>,
+fn drain_mailboxes<S: SpecState, V: LevelVisitor<S>>(
+    shared: &RunShared<'_, S, V>,
     worker: usize,
     drainers: usize,
-) -> WorkerLevelResult<S> {
+) -> WorkerResult<S, V> {
     let mut result = WorkerLevelResult::default();
     // ordering: Acquire — pairs with the coordinator's Release store between levels.
     let child_depth = shared.child_depth.load(Ordering::Acquire);
@@ -1117,7 +1197,7 @@ fn drain_mailboxes<S: SpecState>(
             continue;
         }
         batches.sort_by_key(|b| (b.producer, b.seq));
-        let mut combined: Vec<BufferedSuccessor<S>> =
+        let mut combined: Vec<BufferedSuccessor<S, V::Tag>> =
             batches.into_iter().flat_map(|b| b.items).collect();
         flush_shard(shared, shard, &mut combined, child_depth, &mut result);
     }
@@ -1125,137 +1205,44 @@ fn drain_mailboxes<S: SpecState>(
 }
 
 /// Merges one per-worker buffer into its stripe under a single lock acquisition, then
-/// (outside the lock) checks invariants on the states that were actually new.
-fn flush_shard<S: SpecState>(
-    shared: &RunShared<'_, S>,
+/// (outside the lock) hands the insert results to the visitor.
+fn flush_shard<S: SpecState, V: LevelVisitor<S>>(
+    shared: &RunShared<'_, S, V>,
     shard: usize,
-    buffer: &mut Vec<BufferedSuccessor<S>>,
+    buffer: &mut Vec<BufferedSuccessor<S, V::Tag>>,
     child_depth: u32,
-    result: &mut WorkerLevelResult<S>,
+    result: &mut WorkerResult<S, V>,
 ) {
-    let mut fresh: Vec<(StateIndex, Fingerprint, S)> = Vec::new();
+    let mut inserted: Vec<(Insert<S>, Fingerprint, V::Tag)> = Vec::new();
+    let por = shared.cfg.options.por;
     {
-        let mut handle = shared.store.lock_shard(shard);
-        for mut item in buffer.drain(..) {
-            let sleep = std::mem::take(&mut item.sleep);
-            let insert = match item.perm {
-                Some(perm) => handle.insert_canonical(
-                    item.fp,
-                    Some(item.parent),
-                    item.label,
-                    item.state,
-                    perm,
-                ),
-                None => handle.insert(item.fp, Some(item.parent), item.label, item.state),
-            };
+        let mut handle = shared.cfg.store.lock_shard(shard);
+        for item in buffer.drain(..) {
+            let insert = handle.insert_canonical(
+                item.fp,
+                Some(item.parent),
+                item.label,
+                item.state,
+                item.perm,
+            );
             // Both fresh and already-known targets contribute an arrival edge: a state
             // reached again within the same level only keeps a label asleep if every
             // minimal-depth arrival does (re-visits from older levels are dropped at
             // the barrier — their targets have no slot in the next frontier).
-            let index = match &insert {
-                Insert::Fresh(index, _) | Insert::Existing(index, _) => *index,
-            };
-            if shared.por {
-                result.sleep_edges.push((index, sleep));
+            if por {
+                let (Insert::Fresh(index, _) | Insert::Existing(index, _)) = &insert;
+                result.sleep_edges.push((*index, item.sleep));
             }
-            if let Insert::Fresh(index, state) = insert {
-                fresh.push((index, item.fp, state));
+            if V::SEES_KNOWN || matches!(insert, Insert::Fresh(..)) {
+                inserted.push((insert, item.fp, item.tag));
             }
         }
     }
-    for (index, fp, state) in fresh {
-        if let Some(max_states) = shared.max_states {
-            if shared.store.len() >= max_states {
-                shared.stop.request(STOP_STATE_LIMIT);
-            }
-        }
-        let violated = shared.spec.violated_invariants(&state);
-        if !violated.is_empty() {
-            let total = shared
-                .violation_count
-                // ordering: AcqRel — the running total decides the stop request
-                // below, so each increment must observe and publish its peers.
-                .fetch_add(violated.len(), Ordering::AcqRel)
-                + violated.len();
-            for inv in violated {
-                result.violations.push(PendingViolation {
-                    index,
-                    fp,
-                    depth: child_depth,
-                    invariant: inv.id,
-                    invariant_name: inv.name,
-                });
-            }
-            if total >= shared.violation_limit {
-                shared.stop.request(shared.violation_stop);
-            }
-        }
-        result.next_frontier.push((index, state));
-    }
-}
-
-/// Turns pending worker-side violation records into [`Violation`]s with reconstructed
-/// traces, keeping (as before) only the first recorded violation of each invariant.
-fn resolve_violations<S: SpecState>(
-    shared: &RunShared<'_, S>,
-    options: &CheckOptions,
-    mut pending: Vec<PendingViolation>,
-    violations: &mut Vec<Violation<S>>,
-) {
-    // Sort so the representative chosen for each invariant does not depend on worker
-    // scheduling: lowest depth first, ties broken by fingerprint.
-    pending.sort_by_key(|p| (p.depth, p.invariant, p.fp));
-    for p in pending {
-        if violations.iter().any(|v| v.invariant == p.invariant) {
-            continue;
-        }
-        let trace = if options.collect_traces {
-            match shared.canon {
-                // A symmetry-reduced chain is a sequence of canonical forms, not an
-                // execution; replay it back into the original id frame so the witness
-                // runs step-by-step through `Spec::successors` on the original spec.
-                Some(canon) => shared.store.reconstruct_trace_decanonicalized(
-                    shared.spec,
-                    shared.labels,
-                    p.index,
-                    canon,
-                ),
-                None => shared
-                    .store
-                    .reconstruct_trace(shared.spec, shared.labels, p.index),
-            }
-        } else {
-            Trace::default()
-        };
-        violations.push(Violation {
-            invariant: p.invariant,
-            invariant_name: p.invariant_name,
-            depth: p.depth,
-            trace,
-        });
-    }
-}
-
-fn stats_from<S: SpecState>(
-    store: &StateStore<S>,
-    per_worker_transitions: &[u64],
-    max_depth: u32,
-    start: Instant,
-    pruned_transitions: u64,
-    canon_fallbacks_before: u64,
-) -> CheckStats {
-    CheckStats {
-        distinct_states: store.len(),
-        transitions: per_worker_transitions.iter().sum(),
-        max_depth,
-        elapsed: start.elapsed(),
-        per_worker_transitions: per_worker_transitions.to_vec(),
-        shard_contention: store.contention_counters(),
-        peak_entry_bytes: store.entry_bytes(),
-        entry_bytes_per_state: store.entry_bytes_per_state(),
-        spill: store.spill_stats(),
-        pruned_transitions,
-        canon_fallbacks: canon_stats::tie_cap_fallbacks().saturating_sub(canon_fallbacks_before),
+    for (insert, fp, tag) in inserted {
+        let (next, records) = (&mut result.next_frontier, &mut result.records);
+        shared
+            .visitor
+            .on_insert(insert, fp, tag, child_depth, next, records);
     }
 }
 

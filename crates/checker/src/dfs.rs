@@ -38,13 +38,11 @@
 
 use std::time::Instant;
 
-use remix_spec::{
-    canon_stats, CanonFn, Effect, IncrementalCanon, LabelId, LabelTable, Perm, Spec, SpecState,
-    Trace,
-};
+use remix_spec::{canon_stats, Effect, LabelId, LabelTable, Perm, Spec, SpecState, Trace};
 
+use crate::bfs::canonical_successor;
 use crate::fingerprint::{fingerprint, Fingerprint};
-use crate::options::{CheckMode, CheckOptions, SymmetryMode};
+use crate::options::{CheckMode, CheckOptions};
 use crate::outcome::{CheckOutcome, CheckStats, StopReason, Violation};
 use crate::por::{self, FootprintTable, SleepSet};
 use crate::store::{Insert, StateIndex, StateStore};
@@ -87,45 +85,34 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
         CheckMode::Completion { violation_limit } => violation_limit,
     };
 
-    // Symmetry reduction is active only when both the options request it and the spec
-    // carries a canonicalization function (same contract as the BFS engine).
-    let canon: Option<&CanonFn<S>> = match options.symmetry {
-        SymmetryMode::Canonicalize => spec.symmetry.as_ref(),
-        SymmetryMode::Off => None,
+    let canon = options.symmetry.canon(spec);
+    // Checks a newly discovered state's invariants, recording the first violation of
+    // each invariant; returns how many invariants the state violates.
+    let check = |index: StateIndex, depth: u32, state: &S, violations: &mut Vec<Violation<S>>| {
+        let violated = spec.violated_invariants(state);
+        for inv in &violated {
+            if violations.iter().any(|v| v.invariant == inv.id) {
+                continue;
+            }
+            let trace = if options.collect_traces {
+                store.trace_to(spec, &labels, index, canon)
+            } else {
+                Trace::default()
+            };
+            violations.push(Violation {
+                invariant: inv.id,
+                invariant_name: inv.name,
+                depth,
+                trace,
+            });
+        }
+        violated.len()
     };
-    let incr: Option<&IncrementalCanon<S>> = canon.and(spec.incremental_symmetry.as_ref());
 
-    for init in &spec.init {
-        let insert = match canon {
-            Some(canon) => {
-                let (canonical, perm) = canon(init);
-                let fp = fingerprint(&canonical);
-                let mut handle = store.lock_shard(store.shard_of(fp));
-                handle.insert_canonical(fp, None, LabelTable::init_id(), canonical, perm)
-            }
-            None => {
-                let fp = fingerprint(init);
-                let mut handle = store.lock_shard(store.shard_of(fp));
-                handle.insert(fp, None, LabelTable::init_id(), init.clone())
-            }
-        };
-        let Insert::Fresh(index, state) = insert else {
-            continue;
-        };
+    for (index, _, state) in store.seed(spec, canon) {
         best_depth.push(0);
         sleeps.push(SleepSet::new());
-        check_state(
-            spec,
-            &labels,
-            &store,
-            canon,
-            index,
-            0,
-            &state,
-            options,
-            &mut violations,
-            &mut violation_count,
-        );
+        violation_count += check(index, 0, &state, &mut violations);
         stack.push((index, state, 0));
     }
 
@@ -192,36 +179,9 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
                 }
             }
             // Under symmetry the successor is replaced by its orbit's canonical
-            // representative before fingerprinting (see the BFS engine); footprinted
-            // successors take the incremental path, reusing the parent's sort keys.
-            let (next, perm) = match (canon, incr) {
-                (Some(_canon), Some(incr)) if effect.is_some_and(|e| !e.is_global()) => {
-                    let touched = effect.expect("guarded above").touched_servers();
-                    let parent_memo = memo.get_or_insert_with(|| (incr.memo)(&state));
-                    #[cfg(debug_assertions)]
-                    let oracle = next.clone();
-                    let (canonical, perm) = (incr.canon)(next, &**parent_memo, touched);
-                    #[cfg(debug_assertions)]
-                    debug_assert_eq!(
-                        canonical,
-                        _canon(&oracle).0,
-                        "incremental canonicalization diverged from the full \
-                         recomputation (label {label:?})"
-                    );
-                    (canonical, Some(perm))
-                }
-                (Some(_canon), Some(incr)) => {
-                    // No usable footprint, but the owned full path still skips the
-                    // deep rewrite when the canonical permutation is the identity.
-                    let (canonical, perm) = (incr.full_owned)(next);
-                    (canonical, Some(perm))
-                }
-                (Some(canon), None) => {
-                    let (canonical, perm) = canon(&next);
-                    (canonical, Some(perm))
-                }
-                (None, _) => (next, None),
-            };
+            // representative before fingerprinting (see the BFS engine).
+            let (next, perm) =
+                canonical_successor(spec, canon, &state, &mut memo, next, effect, label);
             // Sleep labels live in the parent's id frame; a relabelling edge starts
             // the child awake (always sound).
             if perm.as_ref().is_some_and(|p| !p.is_identity()) {
@@ -240,26 +200,27 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
         // Store pass: record footprints and dedup/insert the buffered successors.
         // Footprint recording is first-writer-wins over values that are a function of
         // the label alone, so deferring it past the enumeration changes nothing.
-        for rec in pending {
-            let PendingSuccessor {
-                label,
-                effect,
-                state: next,
-                perm,
-                sleep,
-                fp: nfp,
-            } = rec;
+        for PendingSuccessor {
+            label,
+            effect,
+            state: next,
+            perm,
+            sleep,
+            fp: nfp,
+        } in pending
+        {
             if use_por {
                 if let Some(e) = effect {
                     footprints.record(label, e);
                 }
             }
-            let mut handle = store.lock_shard(store.shard_of(nfp));
-            let insert = match perm.clone() {
-                Some(perm) => handle.insert_canonical(nfp, Some(index), label, next, perm),
-                None => handle.insert(nfp, Some(index), label, next),
-            };
-            drop(handle);
+            let insert = store.lock_shard(store.shard_of(nfp)).insert_canonical(
+                nfp,
+                Some(index),
+                label,
+                next,
+                perm.clone(),
+            );
             match insert {
                 Insert::Fresh(nindex, next) => {
                     best_depth.push(ndepth);
@@ -305,18 +266,7 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
             // Invariants are checked once, at first discovery (re-pushed states were
             // already checked).
             if is_fresh {
-                check_state(
-                    spec,
-                    &labels,
-                    &store,
-                    canon,
-                    nindex,
-                    ndepth,
-                    &next,
-                    options,
-                    &mut violations,
-                    &mut violation_count,
-                );
+                violation_count += check(nindex, ndepth, &next, &mut violations);
             }
             stack.push((nindex, next, ndepth));
             if violation_count >= violation_limit
@@ -353,45 +303,6 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
         stop_reason,
         violations,
         violation_count,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check_state<S: SpecState>(
-    spec: &Spec<S>,
-    labels: &LabelTable,
-    store: &StateStore<S>,
-    canon: Option<&CanonFn<S>>,
-    index: StateIndex,
-    depth: u32,
-    state: &S,
-    options: &CheckOptions,
-    violations: &mut Vec<Violation<S>>,
-    violation_count: &mut usize,
-) {
-    let violated = spec.violated_invariants(state);
-    if violated.is_empty() {
-        return;
-    }
-    *violation_count += violated.len();
-    for inv in violated {
-        if violations.iter().any(|v| v.invariant == inv.id) {
-            continue;
-        }
-        let trace = if options.collect_traces {
-            match canon {
-                Some(canon) => store.reconstruct_trace_decanonicalized(spec, labels, index, canon),
-                None => store.reconstruct_trace(spec, labels, index),
-            }
-        } else {
-            Trace::default()
-        };
-        violations.push(Violation {
-            invariant: inv.id,
-            invariant_name: inv.name,
-            depth,
-            trace,
-        });
     }
 }
 

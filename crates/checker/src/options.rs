@@ -3,6 +3,8 @@
 use std::fmt;
 use std::time::Duration;
 
+use remix_spec::{CanonFn, Spec};
+
 use crate::spill::SpillConfig;
 use crate::store::StoreMode;
 
@@ -51,6 +53,15 @@ impl SymmetryMode {
         match std::env::var("REMIX_SYMMETRY").as_deref() {
             Ok("canonicalize") | Ok("canonical") | Ok("on") => SymmetryMode::Canonicalize,
             _ => SymmetryMode::Off,
+        }
+    }
+
+    /// The canonicalization a run of `spec` applies: the spec's symmetry function under
+    /// [`SymmetryMode::Canonicalize`] (when it declares one), else none.
+    pub(crate) fn canon<S>(self, spec: &Spec<S>) -> Option<&CanonFn<S>> {
+        match self {
+            SymmetryMode::Canonicalize => spec.symmetry.as_ref(),
+            SymmetryMode::Off => None,
         }
     }
 }

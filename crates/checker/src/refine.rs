@@ -2,8 +2,8 @@
 //!
 //! The composer's interaction-preservation check (§3.2) is *syntactic* — it compares
 //! declared variable footprints.  This module is the semantic counterpart: it explores
-//! the state spaces of a fine and a coarse composition in parallel (reusing the
-//! lock-striped fingerprint-shard design of [`crate::bfs`]) and verifies that, under a
+//! the state spaces of a fine and a coarse composition on the parallel level engine of
+//! [`crate::bfs`] and verifies that, under a
 //! [`TraceProjection`], the coarse specification admits exactly the externally visible
 //! behaviours of the fine one:
 //!
@@ -25,18 +25,21 @@
 //! distinguish states below the projection, but it never reports a false divergence
 //! for that reason.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use remix_spec::{
-    CanonFn, LabelId, LabelTable, Perm, Spec, SpecState, Trace, TraceProjection, Value,
-};
+use remix_spec::{CanonFn, LabelTable, Spec, SpecState, Trace, TraceProjection, Value};
 
-use crate::fingerprint::{fingerprint, Fingerprint};
-use crate::options::SymmetryMode;
+use crate::bfs::{run_levels, LevelVisitor, Levels, NextFrontier};
+use crate::fingerprint::Fingerprint;
+use crate::options::{CheckOptions, SymmetryMode};
+use crate::outcome::StopReason;
 use crate::shrink::{shrink_trace, ShrinkOutcome};
+use crate::spill::SpillConfig;
+use crate::stop::StopCell;
 use crate::store::{Insert, StateIndex, StateStore, StoreMode};
 use crate::sync::{OrderedRwLock, RefineLsetsRank};
 
@@ -436,15 +439,13 @@ fn render_projection(projected: &BTreeMap<String, Value>) -> String {
     format!("[{}]", fields.join(", "))
 }
 
-/// One side's exploration summary.
-///
-/// Concrete states, parent indices and interned action labels live in the shared
-/// [`StateStore`] arena (in [`StoreMode::FingerprintOnly`] the states are dropped after
-/// expansion); the refinement-specific *lset* annotation — the stable projections a
-/// state can be "inside of": its own projection when stable, otherwise the stable
-/// projections last seen on some path leading here — lives in a side table keyed by
-/// [`StateIndex`].
-struct SideSummary<S: SpecState> {
+/// The stable projections a state can be "inside of": its own projection when stable,
+/// otherwise the stable projections last seen on some path leading here.
+type Lset = BTreeSet<u64>;
+
+/// The projected quotient one side builds at its level barriers.
+#[derive(Default)]
+struct Quotient {
     /// Stable projections → representative state index and discovery depth.
     projs: HashMap<u64, (StateIndex, u32)>,
     /// Stabilization edges of the projected quotient: `from → {to}` with `from ≠ to`.
@@ -453,28 +454,23 @@ struct SideSummary<S: SpecState> {
     /// BFS parent chain need not stabilize from `from`, but it ends in the edge's
     /// target and is the best concrete anchor available without per-context parents).
     edge_reps: HashMap<(u64, u64), StateIndex>,
-    /// All discovered concrete states (dedup map, parent chains, optional states).
-    seen: StateStore<S>,
-    /// The run's interned action labels.
-    labels: LabelTable,
-    /// Per-state lsets.  Written only by the sequential level merge; read concurrently
-    /// by the expansion workers' dedup scout.
-    lsets: OrderedRwLock<RefineLsetsRank, HashMap<StateIndex, BTreeSet<u64>>>,
-    /// The active canonicalization function when this side explored canonical
-    /// representatives (symmetry reduction); `None` otherwise.
-    canon: Option<CanonFn<S>>,
-    /// Whether exploration ran to exhaustion within the budgets.
-    complete: bool,
     /// Stabilization edges checked incrementally against the other side's quotient
-    /// (fine side in [`RefineMode::Simulation`] with a complete coarse side only).
+    /// (fine side in [`RefineMode::Simulation`] only).
     edges_checked: usize,
     /// The first stabilization edge with no matching coarse path, by discovery level
     /// then key order (recorded during exploration; turned into a divergence by the
     /// caller once the cheaper projection-inclusion checks come up clean).
     unmatched_edge: Option<(u64, u64)>,
+    /// Coarse-quotient reachability, memoized across levels for the edge check.
+    reach_memo: HashMap<u64, HashSet<u64>>,
+    /// `Some(levels drained)` once a state or depth budget has tripped (the side is
+    /// then incomplete): stabilizations already in progress are finished (unstable
+    /// states only) for up to `stabilization_grace` extra levels, so the projection
+    /// and edge sets are populated instead of frozen mid-atomic-stretch.
+    draining: Option<u32>,
 }
 
-impl<S: SpecState> SideSummary<S> {
+impl Quotient {
     /// Returns the set of projections reachable from `from` in the quotient graph
     /// (including `from` itself), memoized by the caller.
     fn reachable_from(&self, from: u64) -> HashSet<u64> {
@@ -492,65 +488,231 @@ impl<S: SpecState> SideSummary<S> {
         }
         out
     }
+}
 
-    /// Reconstructs the concrete trace to `index` (a parent-index walk in the full
-    /// store, a bounded label-chain replay in the fingerprint-only store; a
-    /// de-canonicalizing replay under symmetry reduction, so the witness is an
-    /// execution of the original specification).
+/// One side's exploration summary.
+///
+/// Concrete states, parent indices and interned action labels live in the shared
+/// [`StateStore`] arena (in [`StoreMode::FingerprintOnly`] the states are dropped after
+/// expansion); the projected quotient lives beside it.
+struct SideSummary<S: SpecState> {
+    quotient: Quotient,
+    /// All discovered concrete states (dedup map, parent chains, optional states).
+    seen: StateStore<S>,
+    /// The run's interned action labels.
+    labels: LabelTable,
+    /// The active canonicalization function when this side explored canonical
+    /// representatives (symmetry reduction); `None` otherwise.
+    canon: Option<CanonFn<S>>,
+    /// Whether exploration ran to exhaustion within the budgets.
+    complete: bool,
+}
+
+impl<S: SpecState> SideSummary<S> {
+    /// Reconstructs the concrete trace to `index` (de-canonicalized under symmetry
+    /// reduction, so the witness is an execution of the original specification).
     fn witness(&self, spec: &Spec<S>, index: StateIndex) -> Trace<S> {
-        match &self.canon {
-            Some(canon) => {
-                self.seen
-                    .reconstruct_trace_decanonicalized(spec, &self.labels, index, canon)
-            }
-            None => self.seen.reconstruct_trace(spec, &self.labels, index),
+        self.seen
+            .trace_to(spec, &self.labels, index, self.canon.as_ref())
+    }
+}
+
+/// The projection key of a stable state.  64 bits suffice: projections are compared,
+/// not stored, and a collision would only *mask* a divergence on quotient classes that
+/// already over-approximate.  No canonicalization is needed even under symmetry
+/// reduction: the mode is gated on `TraceProjection::assume_equivariant`, under which
+/// projection and stability agree on every member of an orbit — so projecting the raw
+/// state yields the same key the exploration recorded for its canonical representative.
+fn stable_key<S: SpecState>(projection: &TraceProjection<S>, state: &S) -> Option<u64> {
+    projection
+        .is_stable(state)
+        .then(|| projection.project_state(state).key())
+}
+
+/// One insert of a refinement level, replayed at the level barrier.
+struct Arrival<S> {
+    /// Replay order: the parent's frontier position, then the successor's rank.
+    order: u64,
+    index: StateIndex,
+    /// Projection key when the state is stable.
+    key: Option<u64>,
+    /// The parent's lset (stable parents carry their own key).
+    from: Arc<Lset>,
+    /// The state, unless it was known and stable before this level (it can then never
+    /// re-enter the frontier).
+    state: Option<S>,
+}
+
+/// The refinement visitor over the BFS level engine: projects each successor on the
+/// worker, and replays the level's inserts at the barrier in frontier order, so the
+/// lsets, the quotient and the next frontier do not depend on the worker count.
+struct SideVisitor<'a, S: SpecState> {
+    projection: &'a TraceProjection<S>,
+    store: &'a StateStore<S>,
+    options: &'a RefineOptions,
+    /// Per-state lsets: read by the workers' insert hook, written at the barrier
+    /// while the workers are parked.
+    lsets: OrderedRwLock<RefineLsetsRank, HashMap<StateIndex, Lset>>,
+    /// The fully explored coarse projection set (see [`explore_side`]).
+    stop_when_missing_from: Option<&'a HashMap<u64, (StateIndex, u32)>>,
+    /// The coarse side to match stabilization edges against (see [`explore_side`]).
+    simulate_against: Option<&'a SideSummary<S>>,
+}
+
+impl<S: SpecState> LevelVisitor<S> for SideVisitor<'_, S> {
+    type Ctx = Arc<Lset>;
+    type Tag = (u64, Option<u64>, Arc<Lset>);
+    type Record = Arrival<S>;
+    type Barrier = Quotient;
+    const SEES_KNOWN: bool = true;
+
+    fn tag(&self, lset: &Arc<Lset>, succ: &S, order: u64) -> Self::Tag {
+        (order, stable_key(self.projection, succ), Arc::clone(lset))
+    }
+
+    fn on_insert(
+        &self,
+        insert: Insert<S>,
+        _fp: Fingerprint,
+        (order, key, from): Self::Tag,
+        _depth: u32,
+        _next: &mut Vec<(StateIndex, S, Arc<Lset>)>,
+        arrivals: &mut Vec<Arrival<S>>,
+    ) {
+        let (Insert::Fresh(index, state) | Insert::Existing(index, state)) = insert;
+        // A state known before this level whose lset already covers the parent's
+        // context changes nothing at the barrier; drop it here.
+        let known = self
+            .lsets
+            .read()
+            .get(&index)
+            .map(|lset| from.is_subset(lset));
+        if known != Some(true) {
+            arrivals.push(Arrival {
+                order,
+                index,
+                key,
+                from,
+                state: (known.is_none() || key.is_none()).then_some(state),
+            });
         }
     }
 
-    /// The state at `index`: the stored (canonical, under symmetry) state when
-    /// available, else the last state of the replayed chain.  Symmetry is only active
-    /// under a declared-equivariant projection, whose values agree across a state and
-    /// its renamings, so the original-frame replay result projects identically.
-    fn state_of(&self, spec: &Spec<S>, index: StateIndex) -> S {
-        self.seen.with_state(index, S::clone).unwrap_or_else(|| {
-            self.witness(spec, index)
-                .last_state()
-                .expect("a stored chain is never empty")
-                .clone()
-        })
-    }
+    fn at_barrier(
+        &self,
+        q: &mut Quotient,
+        depth: u32,
+        mut arrivals: Vec<Arrival<S>>,
+        next: &mut NextFrontier<'_, S, Arc<Lset>>,
+    ) -> Option<StopReason> {
+        // Replay in frontier order, whatever order the workers inserted in: record
+        // stable projections and stabilization edges, and build the next frontier.
+        // States whose lset grew are re-enqueued so their successors learn the new
+        // contexts.
+        arrivals.sort_unstable_by_key(|a| a.order);
+        let mut entries = Vec::new();
+        let mut new_edges: Vec<(u64, u64)> = Vec::new();
+        let mut lsets = self.lsets.write();
+        for a in arrivals {
+            if let Some(key) = a.key {
+                for &from in a.from.iter().filter(|&&from| from != key) {
+                    if q.edges.entry(from).or_default().insert(key) {
+                        new_edges.push((from, key));
+                    }
+                    // Remember the concrete state completing this edge, so an
+                    // unmatched-step divergence can reconstruct a witness that
+                    // actually ends with the offending stabilization.
+                    q.edge_reps.entry((from, key)).or_insert(a.index);
+                }
+            }
+            match lsets.entry(a.index) {
+                // A grown lset on a known *unstable* state changes what its
+                // successors stabilize from, so it is expanded again.
+                Entry::Occupied(mut known) if a.key.is_none() => {
+                    let lset = known.get_mut();
+                    let before = lset.len();
+                    lset.extend(a.from.iter().copied());
+                    if lset.len() > before {
+                        let state = a.state.expect("unstable arrivals keep their state");
+                        entries.push((a.index, state, Arc::new(lset.clone())));
+                    }
+                }
+                Entry::Occupied(_) => {}
+                Entry::Vacant(slot) => {
+                    let lset = match a.key {
+                        Some(key) => {
+                            q.projs.entry(key).or_insert((a.index, depth));
+                            Arc::new(Lset::from([key]))
+                        }
+                        None => a.from,
+                    };
+                    slot.insert(Lset::clone(&lset));
+                    // While draining, stable states close their stabilization and are
+                    // not expanded further: only the unstable closure of the final
+                    // frontier grows the capped exploration.
+                    if q.draining.is_none() || a.key.is_none() {
+                        let state = a.state.expect("new arrivals keep their state");
+                        entries.push((a.index, state, lset));
+                    }
+                }
+            }
+        }
+        drop(lsets);
+        next.extend(entries);
 
-    /// The projection key of a stable state.  64 bits suffice: projections are
-    /// compared, not stored, and a collision would only *mask* a divergence on quotient
-    /// classes that already over-approximate.  No canonicalization is needed even
-    /// under symmetry reduction: the mode is gated on
-    /// `TraceProjection::assume_equivariant`, under which projection and stability
-    /// agree on every member of an orbit — so projecting the raw state yields the
-    /// same key the exploration recorded for its canonical representative.
-    fn project_key_of(&self, projection: &TraceProjection<S>, state: &S) -> Option<u64> {
-        projection
-            .is_stable(state)
-            .then(|| projection.project_state(state).key())
+        // Incremental simulation check: match the level's new stabilization edges
+        // against the coarse quotient right away, so a budget-truncated run reports
+        // the edge coverage it actually achieved.  The first unmatched edge is
+        // recorded, not acted on: the caller keeps the established check precedence
+        // (projection inclusion first, then edge matching).
+        if let Some(coarse) = self.simulate_against.filter(|_| q.unmatched_edge.is_none()) {
+            new_edges.sort_unstable();
+            for (from, to) in new_edges {
+                q.edges_checked += 1;
+                let reach = q
+                    .reach_memo
+                    .entry(from)
+                    .or_insert_with(|| coarse.quotient.reachable_from(from));
+                // Absence from an *incomplete* coarse quotient proves nothing (the
+                // matching path may lie past the coarse budget); only a complete
+                // quotient condemns an edge.
+                if !reach.contains(&to) && coarse.complete {
+                    q.unmatched_edge = Some((from, to));
+                    break;
+                }
+            }
+        }
+        // A divergence exists at (or above) this level; deeper levels cannot beat its
+        // depth.  The initial states are checked with the first expanded level.
+        if depth > 0
+            && self
+                .stop_when_missing_from
+                .is_some_and(|known| q.projs.keys().any(|k| !known.contains_key(k)))
+        {
+            return Some(StopReason::FirstViolation);
+        }
+        if next.is_empty() {
+            return None;
+        }
+        // State and depth budgets are checked between levels and start the drain.
+        let options = self.options;
+        let states_hit = options
+            .max_states
+            .is_some_and(|max| self.store.len() >= max);
+        if q.draining.is_none() && (states_hit || options.max_depth.is_some_and(|m| depth >= m)) {
+            q.draining = Some(0);
+        }
+        let drained = q.draining?;
+        if drained >= options.stabilization_grace {
+            return Some(StopReason::StateLimit);
+        }
+        q.draining = Some(drained + 1);
+        None
     }
 }
 
-/// One successor produced by a worker, to be merged into the side summary.
-struct SuccessorRecord<S> {
-    fp: Fingerprint,
-    parent: StateIndex,
-    label: LabelId,
-    state: S,
-    /// The permutation that canonicalized `state`, under symmetry reduction.
-    perm: Option<Perm>,
-    /// Projection key when the successor is stable.
-    stable_key: Option<u64>,
-    /// The parent's `lset` at expansion time (stable parents carry their own key);
-    /// shared with the frontier entry — read-only until the merge.
-    parent_lset: Arc<BTreeSet<u64>>,
-}
-
-/// Explores one side of the refinement pair, recording stable projections and the
-/// stabilization edges of the projected quotient graph.
+/// Explores one side of the refinement pair on the BFS level engine, recording stable
+/// projections and the stabilization edges of the projected quotient graph.
 ///
 /// When `stop_when_missing_from` is set (the fully explored coarse projection set),
 /// exploration stops at the end of the first BFS level that discovers a stable
@@ -559,9 +721,9 @@ struct SuccessorRecord<S> {
 /// checks skip the rest of the (often much larger) fine state space.
 ///
 /// When `simulate_against` is set (the fine side of a [`RefineMode::Simulation`]
-/// check, after the coarse side completed), every stabilization edge is checked
-/// against the coarse quotient as soon as the level discovering it finishes, so a run
-/// truncated by a budget still reports how many edges it actually verified instead of
+/// check, after the coarse side ran), every stabilization edge is checked against the
+/// coarse quotient as soon as the level discovering it finishes, so a run truncated by
+/// a budget still reports how many edges it actually verified instead of
 /// `edges_checked: 0`.
 fn explore_side<S: SpecState>(
     spec: &Spec<S>,
@@ -576,281 +738,49 @@ fn explore_side<S: SpecState>(
     // class), declared via `TraceProjection::assume_equivariant` — without it the two
     // sides could pick different representatives of the same projected class and
     // report a spurious divergence, so the knob is ignored rather than unsound.
-    let canon: Option<CanonFn<S>> = match options.symmetry {
-        SymmetryMode::Canonicalize if projection.is_equivariant() => spec.symmetry.clone(),
-        _ => None,
+    let canon = options
+        .symmetry
+        .canon(spec)
+        .filter(|_| projection.is_equivariant());
+    let canon: Option<CanonFn<S>> = canon.cloned();
+    let seen = StateStore::with_spill(options.store_mode, options.shards, &options.spill);
+    let labels = LabelTable::new();
+    // Refinement checks no invariants, keeps POR off and never spills a frontier
+    // level (the lsets ride on the frontier entries).
+    let engine = CheckOptions {
+        workers: options.workers,
+        por: false,
+        route_by_owner: false,
+        spill: SpillConfig::in_ram(),
+        ..CheckOptions::default()
     };
-    let mut summary = SideSummary {
-        projs: HashMap::new(),
-        edges: HashMap::new(),
-        edge_reps: HashMap::new(),
-        seen: StateStore::with_spill(options.store_mode, options.shards, &options.spill),
-        labels: LabelTable::new(),
+    let cfg = Levels {
+        spec,
+        labels: &labels,
+        store: &seen,
+        canon: canon.as_ref(),
+        stop: &StopCell::new(),
+        deadline,
+        options: &engine,
+    };
+    let visitor = SideVisitor {
+        projection,
+        store: &seen,
+        options,
         lsets: OrderedRwLock::new(HashMap::new()),
-        canon,
-        complete: true,
-        edges_checked: 0,
-        unmatched_edge: None,
+        stop_when_missing_from,
+        simulate_against,
     };
-
-    // Frontier entries carry the lset snapshot their successors inherit.  Under
-    // symmetry reduction the frontier, the store, the stable-projection set and the
-    // quotient edges all live in canonical space.
-    let mut frontier: Vec<(StateIndex, S, Arc<BTreeSet<u64>>)> = Vec::new();
-    for init in &spec.init {
-        let (seed, perm) = match &summary.canon {
-            Some(canon) => {
-                let (c, p) = canon(init);
-                (c, Some(p))
-            }
-            None => (init.clone(), None),
-        };
-        let fp = fingerprint(&seed);
-        let mut handle = summary.seen.lock_shard(summary.seen.shard_of(fp));
-        let insert = match perm {
-            Some(p) => handle.insert_canonical(fp, None, LabelTable::init_id(), seed, p),
-            None => handle.insert(fp, None, LabelTable::init_id(), seed),
-        };
-        let Insert::Fresh(index, state) = insert else {
-            continue;
-        };
-        drop(handle);
-        let mut lset = BTreeSet::new();
-        if projection.is_stable(&state) {
-            let key = projection.project_state(&state).key();
-            lset.insert(key);
-            summary.projs.entry(key).or_insert((index, 0));
-        }
-        summary.lsets.write().insert(index, lset.clone());
-        frontier.push((index, state, Arc::new(lset)));
+    let mut quotient = Quotient::default();
+    let run = run_levels(&cfg, &visitor, &mut quotient);
+    let complete = run.stop == StopReason::Exhausted && quotient.draining.is_none();
+    SideSummary {
+        quotient,
+        seen,
+        labels,
+        canon,
+        complete,
     }
-
-    let workers = options.workers.max(1);
-    let mut depth: u32 = 0;
-    // Coarse-quotient reachability, memoized across levels for the incremental edge
-    // check (Simulation mode, complete coarse side).
-    let mut reach_memo: HashMap<u64, HashSet<u64>> = HashMap::new();
-    // `Some(levels_drained)` once a state/depth budget has tripped: the run is
-    // incomplete, but stabilizations already in progress are finished (unstable
-    // states only) for up to `stabilization_grace` extra levels, so the projection
-    // and edge sets are populated instead of frozen mid-atomic-stretch.
-    let mut draining: Option<u32> = None;
-    while !frontier.is_empty() {
-        if let Some(deadline) = deadline {
-            if Instant::now() >= deadline {
-                summary.complete = false;
-                break;
-            }
-        }
-        if draining.is_none() {
-            let depth_hit = options.max_depth.is_some_and(|max| depth >= max);
-            let states_hit = options
-                .max_states
-                .is_some_and(|max| summary.seen.len() >= max);
-            if depth_hit || states_hit {
-                summary.complete = false;
-                if options.stabilization_grace == 0 {
-                    break;
-                }
-                draining = Some(0);
-            }
-        }
-        if let Some(drained) = draining {
-            if drained >= options.stabilization_grace {
-                break;
-            }
-            draining = Some(drained + 1);
-        }
-
-        // Expand the frontier: successor enumeration, fingerprinting and projection run
-        // in parallel; workers share the store's dedup map and the lset table read-only.
-        let effective = if frontier.len() < 64 { 1 } else { workers };
-        let chunk = frontier.len().div_ceil(effective);
-        let mut batches: Vec<Vec<SuccessorRecord<S>>> = Vec::with_capacity(effective);
-        if effective == 1 {
-            batches.push(expand_chunk(spec, projection, &summary, &frontier));
-        } else {
-            std::thread::scope(|scope| {
-                let summary = &summary;
-                let handles: Vec<_> = frontier
-                    .chunks(chunk)
-                    .map(|slice| {
-                        scope.spawn(move || expand_chunk(spec, projection, summary, slice))
-                    })
-                    .collect();
-                for h in handles {
-                    batches.push(h.join().expect("refine worker panicked"));
-                }
-            });
-        }
-
-        // Merge sequentially at the level boundary: dedup against the store, record
-        // stable projections and stabilization edges, and build the next frontier.
-        // States whose lset grew are re-enqueued so their successors learn the new
-        // contexts.
-        let child_depth = depth + 1;
-        let mut next: Vec<(StateIndex, S, Arc<BTreeSet<u64>>)> = Vec::new();
-        let mut new_edges: Vec<(u64, u64)> = Vec::new();
-        for batch in batches {
-            for rec in batch {
-                let mut handle = summary.seen.lock_shard(summary.seen.shard_of(rec.fp));
-                let insert = match rec.perm {
-                    Some(perm) => handle.insert_canonical(
-                        rec.fp,
-                        Some(rec.parent),
-                        rec.label,
-                        rec.state,
-                        perm,
-                    ),
-                    None => handle.insert(rec.fp, Some(rec.parent), rec.label, rec.state),
-                };
-                drop(handle);
-                let index = match &insert {
-                    Insert::Fresh(index, _) | Insert::Existing(index, _) => *index,
-                };
-                if let Some(key) = rec.stable_key {
-                    for &from in &*rec.parent_lset {
-                        if from != key {
-                            if summary.edges.entry(from).or_default().insert(key) {
-                                new_edges.push((from, key));
-                            }
-                            // Remember the concrete state completing this edge, so an
-                            // unmatched-step divergence can reconstruct a witness that
-                            // actually ends with the offending stabilization.
-                            summary.edge_reps.entry((from, key)).or_insert(index);
-                        }
-                    }
-                }
-                match insert {
-                    Insert::Existing(index, state) => {
-                        // Known state: merge the lset; a grown lset on an *unstable*
-                        // state changes what its successors stabilize from, so re-expand.
-                        let mut lsets = summary.lsets.write();
-                        let existing = lsets.entry(index).or_default();
-                        let before = existing.len();
-                        match rec.stable_key {
-                            Some(key) => {
-                                existing.insert(key);
-                            }
-                            None => existing.extend(rec.parent_lset.iter().copied()),
-                        }
-                        if existing.len() > before && rec.stable_key.is_none() {
-                            let merged = Arc::new(existing.clone());
-                            drop(lsets);
-                            next.push((index, state, merged));
-                        }
-                    }
-                    Insert::Fresh(index, state) => {
-                        let child_lset: BTreeSet<u64> = match rec.stable_key {
-                            Some(key) => {
-                                summary.projs.entry(key).or_insert((index, child_depth));
-                                std::iter::once(key).collect()
-                            }
-                            None => (*rec.parent_lset).clone(),
-                        };
-                        summary.lsets.write().insert(index, child_lset.clone());
-                        // While draining, stable successors close their stabilization
-                        // and are not expanded further: only the unstable closure of
-                        // the final frontier grows the capped exploration.
-                        if draining.is_none() || rec.stable_key.is_none() {
-                            next.push((index, state, Arc::new(child_lset)));
-                        }
-                    }
-                }
-            }
-        }
-        // Incremental simulation check: match the level's fresh stabilization edges
-        // against the (complete) coarse quotient right away, so a budget-truncated
-        // run reports the edge coverage it actually achieved.  The first unmatched
-        // edge is recorded, not acted on: the caller keeps the established check
-        // precedence (projection inclusion first, then edge matching).
-        if let Some(coarse) = simulate_against {
-            if summary.unmatched_edge.is_none() {
-                new_edges.sort_unstable();
-                for (from, to) in new_edges {
-                    summary.edges_checked += 1;
-                    let reach = reach_memo
-                        .entry(from)
-                        .or_insert_with(|| coarse.reachable_from(from));
-                    if !reach.contains(&to) && coarse.complete {
-                        // Absence from an *incomplete* coarse quotient proves
-                        // nothing (the matching path may lie past the coarse
-                        // budget); only a complete quotient condemns an edge.
-                        summary.unmatched_edge = Some((from, to));
-                        break;
-                    }
-                }
-            }
-        }
-        if let Some(known) = stop_when_missing_from {
-            if summary.projs.keys().any(|k| !known.contains_key(k)) {
-                // A divergence exists at (or above) this level; deeper levels cannot
-                // beat its depth.  The side is intentionally left incomplete.
-                summary.complete = false;
-                break;
-            }
-        }
-        frontier = next;
-        depth += 1;
-    }
-    summary
-}
-
-/// Expands one slice of the frontier, computing successors, fingerprints and projections.
-fn expand_chunk<S: SpecState>(
-    spec: &Spec<S>,
-    projection: &TraceProjection<S>,
-    summary: &SideSummary<S>,
-    slice: &[(StateIndex, S, Arc<BTreeSet<u64>>)],
-) -> Vec<SuccessorRecord<S>> {
-    let mut out = Vec::new();
-    for (parent_index, state, lset) in slice {
-        // The successor callback must stay lock-free (the concurrency lint enforces
-        // this workspace-wide): it only canonicalizes, fingerprints and projects.
-        // The store/lset scout that decides whether a record is worth carrying to
-        // the merge runs *after* the callback returns, over the buffered records.
-        let first = out.len();
-        spec.for_each_successor(state, &summary.labels, |label, next, _effect| {
-            // Under symmetry the successor is replaced by its orbit's canonical
-            // representative before fingerprinting and projecting.
-            let (next, perm) = match &summary.canon {
-                Some(canon) => {
-                    let (c, p) = canon(&next);
-                    (c, Some(p))
-                }
-                None => (next, None),
-            };
-            let fp = fingerprint(&next);
-            let stable_key = if projection.is_stable(&next) {
-                Some(projection.project_state(&next).key())
-            } else {
-                None
-            };
-            out.push(SuccessorRecord {
-                fp,
-                parent: *parent_index,
-                label,
-                state: next,
-                perm,
-                stable_key,
-                parent_lset: Arc::clone(lset),
-            });
-        });
-        // Cheap scout: drop successors that are already known *and* whose lset
-        // already covers the parent context (the merge re-checks authoritatively).
-        // Stable (order-preserving) so merge order stays the enumeration order.
-        let tail = out.split_off(first);
-        out.extend(tail.into_iter().filter(|rec| {
-            !summary.seen.find(rec.fp).is_some_and(|index| {
-                summary
-                    .lsets
-                    .read()
-                    .get(&index)
-                    .is_some_and(|known| rec.parent_lset.iter().all(|l| known.contains(l)))
-            })
-        }));
-    }
-    out
 }
 
 /// Checks that `coarse` simulates `fine` under `projection`.
@@ -877,28 +807,20 @@ pub fn check_refinement<S: SpecState>(
         deadline,
         // With the coarse set fully known, the fine exploration may stop at the first
         // level exhibiting a missing projection instead of exhausting its state space.
-        if coarse_side.complete {
-            Some(&coarse_side.projs)
-        } else {
-            None
-        },
+        coarse_side.complete.then_some(&coarse_side.quotient.projs),
         // ... and stabilization edges are checked level by level, so even a truncated
         // fine exploration reports the simulation coverage it achieved.  The coarse
         // side may itself be truncated: matches against its partial quotient still
         // count as coverage, but only a *complete* quotient can condemn an edge.
-        if options.mode == RefineMode::Simulation {
-            Some(&coarse_side)
-        } else {
-            None
-        },
+        (options.mode == RefineMode::Simulation).then_some(&coarse_side),
     );
 
     let mut stats = RefineStats {
         fine_states: fine_side.seen.len(),
         coarse_states: coarse_side.seen.len(),
-        fine_projections: fine_side.projs.len(),
-        coarse_projections: coarse_side.projs.len(),
-        edges_checked: fine_side.edges_checked,
+        fine_projections: fine_side.quotient.projs.len(),
+        coarse_projections: coarse_side.quotient.projs.len(),
+        edges_checked: fine_side.quotient.edges_checked,
         fine_complete: fine_side.complete,
         coarse_complete: coarse_side.complete,
         fine_spill: fine_side.seen.spill_stats(),
@@ -908,46 +830,44 @@ pub fn check_refinement<S: SpecState>(
 
     let mut divergence: Option<RefineDivergence<S>> = None;
 
-    // 1. Every stable fine projection must be coarse-reachable (no lost behaviour).
-    if coarse_side.complete {
-        let mut missing: Vec<(u32, u64, StateIndex)> = fine_side
-            .projs
-            .iter()
-            .filter(|(key, _)| !coarse_side.projs.contains_key(key))
-            .map(|(key, (index, depth))| (*depth, *key, *index))
-            .collect();
-        missing.sort();
-        if let Some((_, key, index)) = missing.first() {
-            divergence = Some(build_divergence(
-                DivergenceKind::MissingInCoarse,
-                fine,
-                &fine_side,
-                *index,
-                projection,
-                options,
-                |candidate| trace_reaches_projection(candidate, projection, &fine_side, *key),
-            ));
+    // 1. Every stable fine projection must be coarse-reachable (no lost behaviour);
+    // 2. every stable coarse projection must be fine-reachable (no invented
+    //    behaviour).  Each check needs the other side explored to exhaustion, and
+    //    reports the shallowest projection missing there (ties broken by key).
+    let inclusions = [
+        (
+            DivergenceKind::MissingInCoarse,
+            fine,
+            &fine_side,
+            &coarse_side,
+        ),
+        (
+            DivergenceKind::ExtraInCoarse,
+            coarse,
+            &coarse_side,
+            &fine_side,
+        ),
+    ];
+    for (kind, spec, side, other) in inclusions {
+        if divergence.is_some() || !other.complete {
+            continue;
         }
-    }
-
-    // 2. Every stable coarse projection must be fine-reachable (no invented behaviour).
-    if divergence.is_none() && fine_side.complete {
-        let mut extra: Vec<(u32, u64, StateIndex)> = coarse_side
+        let first = side
+            .quotient
             .projs
             .iter()
-            .filter(|(key, _)| !fine_side.projs.contains_key(key))
+            .filter(|(key, _)| !other.quotient.projs.contains_key(key))
             .map(|(key, (index, depth))| (*depth, *key, *index))
-            .collect();
-        extra.sort();
-        if let Some((_, key, index)) = extra.first() {
+            .min();
+        if let Some((_, key, index)) = first {
             divergence = Some(build_divergence(
-                DivergenceKind::ExtraInCoarse,
-                coarse,
-                &coarse_side,
-                *index,
+                kind,
+                spec,
+                side,
+                index,
                 projection,
                 options,
-                |candidate| trace_reaches_projection(candidate, projection, &coarse_side, *key),
+                |candidate| trace_reaches_projection(candidate, projection, key),
             ));
         }
     }
@@ -958,15 +878,15 @@ pub fn check_refinement<S: SpecState>(
     //    explored prefix even under a budget); here the first recorded unmatched edge
     //    is turned into a witness, after the cheaper inclusion checks came up clean.
     if divergence.is_none() {
-        if let Some((from, to)) = fine_side.unmatched_edge {
+        if let Some((from, to)) = fine_side.quotient.unmatched_edge {
             // Prefer the concrete state that completed this edge over the class
             // representative: its trace ends in the offending stabilization.
             let index = fine_side
+                .quotient
                 .edge_reps
                 .get(&(from, to))
                 .copied()
-                .unwrap_or_else(|| fine_side.projs[&to].0);
-            let (fine_ref, coarse_ref) = (&fine_side, &coarse_side);
+                .unwrap_or_else(|| fine_side.quotient.projs[&to].0);
             let mut d = build_divergence(
                 DivergenceKind::UnmatchedStep,
                 fine,
@@ -974,16 +894,22 @@ pub fn check_refinement<S: SpecState>(
                 index,
                 projection,
                 options,
-                |candidate| trace_has_unmatched_edge(candidate, projection, fine_ref, coarse_ref),
+                |candidate| trace_has_unmatched_edge(candidate, projection, &coarse_side),
             );
             // Render both endpoints of the unmatched step: the target is already in
             // `d.projection`; prepend the source class the coarse side cannot leave.
-            if let Some((from_index, _)) = fine_side.projs.get(&from) {
-                let rendered = render_projection(
-                    &projection
-                        .project_state(&fine_side.state_of(fine, *from_index))
-                        .vars(),
-                );
+            // The stored state when the store keeps states, else the replayed one: a
+            // renaming under symmetry, which an equivariant projection renders alike.
+            if let Some(&(from_index, _)) = fine_side.quotient.projs.get(&from) {
+                let state = fine_side.seen.with_state(from_index, S::clone);
+                let state = state.unwrap_or_else(|| {
+                    let source = fine_side.witness(fine, from_index);
+                    source
+                        .last_state()
+                        .expect("a stored chain is never empty")
+                        .clone()
+                });
+                let rendered = render_projection(&projection.project_state(&state).vars());
                 d.projection = format!("{rendered} ⟶ {}", d.projection);
             }
             divergence = Some(d);
@@ -1032,37 +958,32 @@ fn build_divergence<S: SpecState>(
     }
 }
 
-/// Oracle: the candidate trace visits a stable state with projection key `key` (keys
-/// are compared in `side`'s canonical frame under symmetry reduction).
+/// Oracle: the candidate trace visits a stable state with projection key `key`.
 fn trace_reaches_projection<S: SpecState>(
     candidate: &Trace<S>,
     projection: &TraceProjection<S>,
-    side: &SideSummary<S>,
     key: u64,
 ) -> bool {
     candidate
         .steps
         .iter()
-        .any(|step| side.project_key_of(projection, &step.state) == Some(key))
+        .any(|step| stable_key(projection, &step.state) == Some(key))
 }
 
 /// Oracle: the candidate trace still contains a stabilization edge with no matching
-/// coarse path (used to shrink [`DivergenceKind::UnmatchedStep`] witnesses).  The
-/// candidate is a fine-side execution, so its states are keyed in the fine side's
-/// canonical frame before the coarse quotient is consulted.
+/// coarse path (used to shrink [`DivergenceKind::UnmatchedStep`] witnesses).
 fn trace_has_unmatched_edge<S: SpecState>(
     candidate: &Trace<S>,
     projection: &TraceProjection<S>,
-    fine: &SideSummary<S>,
     coarse: &SideSummary<S>,
 ) -> bool {
     let mut last_stable: Option<u64> = None;
     for step in &candidate.steps {
-        let Some(key) = fine.project_key_of(projection, &step.state) else {
+        let Some(key) = stable_key(projection, &step.state) else {
             continue;
         };
         if let Some(from) = last_stable {
-            if from != key && !coarse.reachable_from(from).contains(&key) {
+            if from != key && !coarse.quotient.reachable_from(from).contains(&key) {
                 return true;
             }
         }

@@ -201,30 +201,19 @@ impl<S: SpecState> ShardHandle<'_, S> {
         label: LabelId,
         state: S,
     ) -> Insert<S> {
-        self.insert_impl(fp, parent, label, state, None)
+        self.insert_canonical(fp, parent, label, state, None)
     }
 
-    /// Like [`ShardHandle::insert`], but for symmetry-reduced runs: `state` must be
-    /// the *canonical* representative and `perm` the permutation that produced it
-    /// from the concrete successor (see `remix_spec::Canonicalize`).  The permutation
-    /// is recorded alongside the discovery edge so
+    /// Like [`ShardHandle::insert`], but for symmetry-reduced runs when `perm` is set:
+    /// `state` must be the *canonical* representative and `perm` the permutation that
+    /// produced it from the concrete successor (see `remix_spec::Canonicalize`).  The
+    /// permutation is recorded alongside the discovery edge so
     /// [`StateStore::reconstruct_trace_decanonicalized`] can later rebuild a witness
     /// in the original id frame.
     ///
-    /// A store must be fed exclusively through this method or exclusively through
-    /// [`ShardHandle::insert`]; mixing the two within one run is a caller bug.
+    /// A store must be fed exclusively with or exclusively without permutations;
+    /// mixing the two within one run is a caller bug.
     pub fn insert_canonical(
-        &mut self,
-        fp: Fingerprint,
-        parent: Option<StateIndex>,
-        label: LabelId,
-        state: S,
-        perm: Perm,
-    ) -> Insert<S> {
-        self.insert_impl(fp, parent, label, state, Some(perm))
-    }
-
-    fn insert_impl(
         &mut self,
         fp: Fingerprint,
         parent: Option<StateIndex>,
@@ -384,6 +373,34 @@ impl<S: SpecState> StateStore<S> {
         }
     }
 
+    /// Inserts the initial states of `spec` (their canonical representatives under
+    /// `canon`) and returns the fresh ones with their fingerprints, in `spec.init`
+    /// order.
+    pub(crate) fn seed(
+        &self,
+        spec: &Spec<S>,
+        canon: Option<&CanonFn<S>>,
+    ) -> Vec<(StateIndex, Fingerprint, S)> {
+        let mut fresh = Vec::new();
+        for init in &spec.init {
+            let (state, perm) = match canon {
+                Some(canon) => {
+                    let (canonical, perm) = canon(init);
+                    (canonical, Some(perm))
+                }
+                None => (init.clone(), None),
+            };
+            let fp = fingerprint(&state);
+            let mut handle = self.lock_shard(self.shard_of(fp));
+            if let Insert::Fresh(index, state) =
+                handle.insert_canonical(fp, None, LabelTable::init_id(), state, perm)
+            {
+                fresh.push((index, fp, state));
+            }
+        }
+        fresh
+    }
+
     /// Out-of-core activity so far: all-zero when no budget is set or nothing has
     /// spilled yet.
     pub fn spill_stats(&self) -> SpillStats {
@@ -461,22 +478,6 @@ impl<S: SpecState> StateStore<S> {
             .collect()
     }
 
-    /// Looks up the index of a fingerprint, if present (in the delta table or any
-    /// spilled run).
-    pub fn find(&self, fp: Fingerprint) -> Option<StateIndex> {
-        let shard = self.shard_of(fp);
-        let guard = self.shards[shard].inner.lock();
-        if let Some(&local) = guard.map.get(&fp) {
-            return Some(pack(local, shard as u32, self.shard_bits));
-        }
-        let spill = self.spill.as_ref()?;
-        guard
-            .runs
-            .iter()
-            .find_map(|run| run.probe(fp, &spill.counters))
-            .map(|local| pack(local, shard as u32, self.shard_bits))
-    }
-
     /// The `(fingerprint, parent, label)` metadata of an entry.
     pub fn meta(&self, index: StateIndex) -> (Fingerprint, Option<StateIndex>, LabelId) {
         let (local, shard) = unpack(index, self.shard_bits);
@@ -552,6 +553,37 @@ impl<S: SpecState> StateStore<S> {
         self.len() * self.entry_bytes_per_state()
     }
 
+    /// The discovery chain of `index`, root first: each entry's index, fingerprint and
+    /// label.
+    fn chain(&self, index: StateIndex) -> Vec<(StateIndex, Fingerprint, LabelId)> {
+        let mut chain = Vec::new();
+        let mut cursor = Some(index);
+        while let Some(c) = cursor {
+            let (fp, parent, label) = self.meta(c);
+            chain.push((c, fp, label));
+            cursor = parent;
+        }
+        chain.reverse();
+        chain
+    }
+
+    /// Reconstructs the trace to `index` as an execution of `spec`:
+    /// [`reconstruct_trace`](Self::reconstruct_trace), or, for a store filled with
+    /// the canonical representatives of `canon`,
+    /// [`reconstruct_trace_decanonicalized`](Self::reconstruct_trace_decanonicalized).
+    pub(crate) fn trace_to(
+        &self,
+        spec: &Spec<S>,
+        labels: &LabelTable,
+        index: StateIndex,
+        canon: Option<&CanonFn<S>>,
+    ) -> Trace<S> {
+        match canon {
+            Some(canon) => self.reconstruct_trace_decanonicalized(spec, labels, index, canon),
+            None => self.reconstruct_trace(spec, labels, index),
+        }
+    }
+
     /// Reconstructs the trace from an initial state to `index`.
     ///
     /// In [`StoreMode::Full`] this walks parent indices and clones the stored states —
@@ -572,16 +604,7 @@ impl<S: SpecState> StateStore<S> {
         labels: &LabelTable,
         index: StateIndex,
     ) -> Trace<S> {
-        // Collect the chain root-first (one parent walk covers both backends).
-        let mut chain: Vec<(StateIndex, Fingerprint, LabelId)> = Vec::new();
-        let mut cursor = Some(index);
-        while let Some(c) = cursor {
-            let (fp, parent, label) = self.meta(c);
-            chain.push((c, fp, label));
-            cursor = parent;
-        }
-        chain.reverse();
-
+        let chain = self.chain(index);
         if self.mode == StoreMode::Full {
             // States are in the arena: clone them out along the collected chain.
             let mut trace = Trace::default();
@@ -668,17 +691,8 @@ impl<S: SpecState> StateStore<S> {
         index: StateIndex,
         canon: &CanonFn<S>,
     ) -> Trace<S> {
-        // Collect the chain root-first, each edge with its recorded permutation.
-        let mut chain: Vec<(Fingerprint, LabelId, Option<Perm>)> = Vec::new();
-        let mut cursor = Some(index);
-        while let Some(c) = cursor {
-            let (fp, parent, label) = self.meta(c);
-            chain.push((fp, label, self.perm_of(c)));
-            cursor = parent;
-        }
-        chain.reverse();
-
-        let (root_fp, root_label, _) = &chain[0];
+        let chain = self.chain(index);
+        let (_, root_fp, root_label) = &chain[0];
         debug_assert_eq!(labels.resolve(*root_label), INIT_LABEL);
         let mut current = spec
             .init
@@ -690,9 +704,9 @@ impl<S: SpecState> StateStore<S> {
         // canonical representative (the frame the chain is recorded in).
         let mut sigma = canon(&current).1;
         let mut trace = Trace::from_init(current.clone());
-        for (fp, _, edge_perm) in &chain[1..] {
+        for (idx, fp, _) in &chain[1..] {
             // The exact discovered execution satisfies canon(next).1 == π_edge ∘ σ.
-            let expected = edge_perm.as_ref().map(|p| p.compose(&sigma));
+            let expected = self.perm_of(*idx).map(|p| p.compose(&sigma));
             let mut fallback: Option<(String, S, Perm)> = None;
             let mut exact: Option<(String, S, Perm)> = None;
             for (l, s) in spec.successors(&current) {
@@ -829,8 +843,6 @@ mod tests {
             assert_eq!(back, N(7), "duplicates hand the moved-in state back");
             drop(handle);
             assert_eq!(store.len(), 1);
-            assert_eq!(store.find(fp), Some(idx));
-            assert_eq!(store.find(fingerprint(&N(8))), None);
             let kept = store.with_state(idx, |s| s.clone());
             match mode {
                 StoreMode::Full => assert_eq!(kept, Some(N(7))),

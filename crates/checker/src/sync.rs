@@ -100,8 +100,8 @@ declare_rank!(
     MailboxRank, 30, "bfs.mailbox"
 );
 declare_rank!(
-    /// The refinement checker's per-state label-set map; read by expansion
-    /// post-processing, written by the sequential level merge.
+    /// The refinement visitor's per-state label-set map; read by the workers'
+    /// insert hook, written at the level barrier.
     RefineLsetsRank, 40, "refine.lsets"
 );
 declare_rank!(

@@ -128,6 +128,12 @@ fn refinement_check_is_lock_order_clean_under_audit() {
     );
     let report = session.report();
     assert!(report.acquisitions > 0);
+    // Both sides run on the BFS level engine's worker pool.
+    assert!(
+        report.locks_seen.iter().any(|site| site == "bfs.gate"),
+        "refinement must expand on the pooled level engine: {:?}",
+        report.locks_seen
+    );
     assert!(
         report.is_clean(),
         "refinement must respect the lock hierarchy: {:?} {:?}",
