@@ -957,7 +957,8 @@ fn expand_range<S: SpecState, V: LevelVisitor<S>>(
     // Run-constant knobs, read once rather than through two references per successor.
     let (por, routed) = (cfg.options.por, cfg.options.route_by_owner);
     let batch_size = cfg.options.batch_size.max(1);
-    let shard_count = cfg.store.shard_count();
+    let (spec, store, canon) = (cfg.spec, cfg.store, cfg.canon);
+    let shard_count = store.shard_count();
     let mut buffers: Vec<Vec<BufferedSuccessor<S, V::Tag>>> =
         (0..shard_count).map(|_| Vec::new()).collect();
     let mut seqs: Vec<u32> = vec![0; if routed { shard_count } else { 0 }];
@@ -1029,49 +1030,48 @@ fn expand_range<S: SpecState, V: LevelVisitor<S>>(
         // enumeration code unable to deadlock against engine locks).
         let mut fresh_effects: Vec<(LabelId, Effect)> = Vec::new();
         let mut rank: u64 = 0;
-        cfg.spec
-            .for_each_successor(state, cfg.labels, |label, next, effect| {
-                if por && sleep_in.binary_search(&label).is_ok() {
-                    // Already covered through a sibling interleaving of an earlier
-                    // edge: skip before canonicalization and fingerprinting.
-                    result.pruned += 1;
-                    return;
+        spec.for_each_successor(state, cfg.labels, |label, next, effect| {
+            if por && sleep_in.binary_search(&label).is_ok() {
+                // Already covered through a sibling interleaving of an earlier
+                // edge: skip before canonicalization and fingerprinting.
+                result.pruned += 1;
+                return;
+            }
+            result.transitions += 1;
+            let mut sleep = SleepSet::new();
+            if por {
+                if let Some(e) = effect {
+                    fresh_effects.push((label, e));
                 }
-                result.transitions += 1;
-                let mut sleep = SleepSet::new();
-                if por {
-                    if let Some(e) = effect {
-                        fresh_effects.push((label, e));
-                    }
-                    sleep = por::child_sleep(&sleep_in_effects, &retained, effect);
-                    if let Some(e) = effect.filter(|e| !e.is_global()) {
-                        retained.push((label, e));
-                    }
+                sleep = por::child_sleep(&sleep_in_effects, &retained, effect);
+                if let Some(e) = effect.filter(|e| !e.is_global()) {
+                    retained.push((label, e));
                 }
-                // Under symmetry the successor is replaced by the canonical
-                // representative of its orbit before fingerprinting, so the whole
-                // orbit dedups to one store entry; the applied permutation rides
-                // along for later trace de-canonicalization.
-                let (next, perm) =
-                    canonical_successor(cfg.spec, cfg.canon, state, &mut memo, next, effect, label);
-                // Sleep-set labels live in the parent's id frame; a relabelling edge
-                // invalidates them, so the child starts awake (always sound).
-                if perm.as_ref().is_some_and(|p| !p.is_identity()) {
-                    sleep.clear();
-                }
-                let tag = shared.visitor.tag(ctx, &next, ((idx as u64) << 32) | rank);
-                rank += 1;
-                let fp = fingerprint(&next);
-                buffers[cfg.store.shard_of(fp)].push(BufferedSuccessor {
-                    fp,
-                    parent: *parent_index,
-                    label,
-                    state: next,
-                    perm,
-                    sleep,
-                    tag,
-                });
+            }
+            // Under symmetry the successor is replaced by the canonical
+            // representative of its orbit before fingerprinting, so the whole
+            // orbit dedups to one store entry; the applied permutation rides
+            // along for later trace de-canonicalization.
+            let (next, perm) =
+                canonical_successor(spec, canon, state, &mut memo, next, effect, label);
+            // Sleep-set labels live in the parent's id frame; a relabelling edge
+            // invalidates them, so the child starts awake (always sound).
+            if perm.as_ref().is_some_and(|p| !p.is_identity()) {
+                sleep.clear();
+            }
+            let tag = shared.visitor.tag(ctx, &next, ((idx as u64) << 32) | rank);
+            rank += 1;
+            let fp = fingerprint(&next);
+            buffers[store.shard_of(fp)].push(BufferedSuccessor {
+                fp,
+                parent: *parent_index,
+                label,
+                state: next,
+                perm,
+                sleep,
+                tag,
             });
+        });
         for (label, effect) in fresh_effects.drain(..) {
             shared.footprints.record(label, effect);
         }
@@ -1123,6 +1123,7 @@ fn expand_range<S: SpecState, V: LevelVisitor<S>>(
 /// parent's sort keys (memoized in `memo`, built on first use) are reused instead of
 /// recomputed; debug builds check every incremental result against the full
 /// recomputation.
+#[inline]
 pub(crate) fn canonical_successor<S: SpecState>(
     spec: &Spec<S>,
     canon: Option<&CanonFn<S>>,

@@ -459,7 +459,7 @@ impl<S: SpecState> StateStore<S> {
 
     /// Total number of entries across all stripes.
     pub fn len(&self) -> usize {
-        // ordering: Acquire — pairs with the AcqRel fetch_add in insert_impl; the
+        // ordering: Acquire — pairs with the AcqRel fetch_add in insert_canonical; the
         // reader uses this total for the max_states stop decision.
         self.len.load(Ordering::Acquire)
     }
